@@ -43,125 +43,71 @@ paper-vs-measured record of every table and figure, and README.md for the
 CLI tour.
 """
 
-from repro.api import (
-    Cell,
-    Engine,
-    ExperimentCache,
-    ExperimentSpec,
-    ProcessPoolBackend,
-    ResultSet,
-    RunRecord,
-    SerialBackend,
-    run_spec,
-)
-from repro.core import (
-    AveragingLearner,
-    BaseDramScheme,
-    BaseOramScheme,
-    DynamicScheme,
-    EpochSchedule,
-    LeakageBudgetExceededError,
-    LeakageMonitor,
-    MonitoredLearner,
-    ObliviousDramScheme,
-    PAPER_RATES,
-    PerfCounters,
-    RateSet,
-    StaticScheme,
-    ThresholdLearner,
-    TimingProtectedController,
-    dynamic,
-    dynamic_timing_leakage_bits,
-    expand_scheme_grid,
-    lg_spaced_rates,
-    paper_baselines,
-    paper_schedule,
-    parse_scheme_grid,
-    scheme_from_spec,
-    sim_schedule,
-    termination_leakage_bits,
-    total_leakage_bits,
-)
-from repro.frontier import FrontierConfig, FrontierSweepResult, run_frontier
-from repro.oram import (
-    ORAMConfig,
-    PAPER_ORAM_CONFIG,
-    PAPER_ORAM_TIMING,
-    PathORAM,
-    RecursivePathORAM,
-    VerifiedPathORAM,
-    derive_timing,
-    make_path_oram,
-)
-from repro.sim import (
-    SecureProcessorSim,
-    SimConfig,
-    SimResult,
-    ipc_windows,
-    performance_overhead,
-    power_overhead,
-    run_timing,
-)
-from repro.workloads import build_trace, get_workload, workload_names
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "Cell",
-    "Engine",
-    "ExperimentCache",
-    "ExperimentSpec",
-    "ProcessPoolBackend",
-    "ResultSet",
-    "RunRecord",
-    "SerialBackend",
-    "run_spec",
-    "scheme_from_spec",
-    "AveragingLearner",
-    "BaseDramScheme",
-    "BaseOramScheme",
-    "DynamicScheme",
-    "EpochSchedule",
-    "LeakageBudgetExceededError",
-    "LeakageMonitor",
-    "MonitoredLearner",
-    "ObliviousDramScheme",
-    "PAPER_RATES",
-    "PerfCounters",
-    "RateSet",
-    "StaticScheme",
-    "ThresholdLearner",
-    "TimingProtectedController",
-    "dynamic",
-    "dynamic_timing_leakage_bits",
-    "expand_scheme_grid",
-    "lg_spaced_rates",
-    "paper_baselines",
-    "paper_schedule",
-    "parse_scheme_grid",
-    "sim_schedule",
-    "termination_leakage_bits",
-    "total_leakage_bits",
-    "FrontierConfig",
-    "FrontierSweepResult",
-    "run_frontier",
-    "ORAMConfig",
-    "PAPER_ORAM_CONFIG",
-    "PAPER_ORAM_TIMING",
-    "PathORAM",
-    "RecursivePathORAM",
-    "VerifiedPathORAM",
-    "derive_timing",
-    "make_path_oram",
-    "SecureProcessorSim",
-    "SimConfig",
-    "SimResult",
-    "ipc_windows",
-    "performance_overhead",
-    "power_overhead",
-    "run_timing",
-    "build_trace",
-    "get_workload",
-    "workload_names",
-    "__version__",
-]
+#: Public name -> the module that defines it, in ``__all__`` order.  A
+#: submodule is imported only when one of its names is first looked up.
+_EXPORTS = {
+    "Cell": "repro.api",
+    "Engine": "repro.api",
+    "ExperimentCache": "repro.api",
+    "ExperimentSpec": "repro.api",
+    "ProcessPoolBackend": "repro.api",
+    "ResultSet": "repro.api",
+    "RunRecord": "repro.api",
+    "SerialBackend": "repro.api",
+    "run_spec": "repro.api",
+    "scheme_from_spec": "repro.core",
+    "AveragingLearner": "repro.core",
+    "BaseDramScheme": "repro.core",
+    "BaseOramScheme": "repro.core",
+    "DynamicScheme": "repro.core",
+    "EpochSchedule": "repro.core",
+    "LeakageBudgetExceededError": "repro.core",
+    "LeakageMonitor": "repro.core",
+    "MonitoredLearner": "repro.core",
+    "ObliviousDramScheme": "repro.core",
+    "PAPER_RATES": "repro.core",
+    "PerfCounters": "repro.core",
+    "RateSet": "repro.core",
+    "StaticScheme": "repro.core",
+    "ThresholdLearner": "repro.core",
+    "TimingProtectedController": "repro.core",
+    "dynamic": "repro.core",
+    "dynamic_timing_leakage_bits": "repro.core",
+    "expand_scheme_grid": "repro.core",
+    "lg_spaced_rates": "repro.core",
+    "paper_baselines": "repro.core",
+    "paper_schedule": "repro.core",
+    "parse_scheme_grid": "repro.core",
+    "sim_schedule": "repro.core",
+    "termination_leakage_bits": "repro.core",
+    "total_leakage_bits": "repro.core",
+    "FrontierConfig": "repro.frontier",
+    "FrontierSweepResult": "repro.frontier",
+    "run_frontier": "repro.frontier",
+    "ORAMConfig": "repro.oram",
+    "PAPER_ORAM_CONFIG": "repro.oram",
+    "PAPER_ORAM_TIMING": "repro.oram",
+    "PathORAM": "repro.oram",
+    "RecursivePathORAM": "repro.oram",
+    "VerifiedPathORAM": "repro.oram",
+    "derive_timing": "repro.oram",
+    "make_path_oram": "repro.oram",
+    "SecureProcessorSim": "repro.sim",
+    "SimConfig": "repro.sim",
+    "SimResult": "repro.sim",
+    "ipc_windows": "repro.sim",
+    "performance_overhead": "repro.sim",
+    "power_overhead": "repro.sim",
+    "run_timing": "repro.sim",
+    "build_trace": "repro.workloads",
+    "get_workload": "repro.workloads",
+    "workload_names": "repro.workloads",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -1,103 +1,60 @@
 """Analysis: overhead normalization, tables, experiment registry, calibration."""
 
-from repro.analysis.calibration import CalibrationResult, run_calibration
-from repro.analysis.experiments import (
-    FIG6_BENCHMARKS,
-    Figure2Result,
-    Figure5Result,
-    Figure6Result,
-    Figure7Result,
-    Figure8Result,
-    LeakageTableResult,
-    default_sim,
-    run_figure2,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8a,
-    run_figure8b,
-    run_leakage_table,
-)
-from repro.analysis.export import (
-    export_figure2,
-    export_figure5,
-    export_figure6,
-    export_figure7,
-    export_figure8,
-)
-from repro.analysis.frontier import (
-    AGGREGATE,
-    POWER_AWARE_OBJECTIVES,
-    BenchmarkFrontier,
-    FrontierPoint,
-    FrontierReport,
-    dominated,
-    frontier_from_resultset,
-    frontier_points,
-    knee_point,
-    pareto_front,
-    pareto_set,
-)
-from repro.analysis.overhead import BenchmarkRow, SchemeComparison, relative_change
-from repro.analysis.report import FullReport, full_report
-from repro.analysis.seeds import SeededStat, replicate_headline
-from repro.analysis.stash_scaling import (
-    StashScalingCell,
-    StashScalingReport,
-    TimingValidation,
-    run_stash_scaling,
-    run_stash_scaling_cell,
-    validate_timing,
-)
-from repro.analysis.tables import Table, format_value
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATE",
-    "POWER_AWARE_OBJECTIVES",
-    "BenchmarkFrontier",
-    "FrontierPoint",
-    "FrontierReport",
-    "dominated",
-    "frontier_from_resultset",
-    "frontier_points",
-    "knee_point",
-    "pareto_front",
-    "pareto_set",
-    "CalibrationResult",
-    "run_calibration",
-    "FIG6_BENCHMARKS",
-    "Figure2Result",
-    "Figure5Result",
-    "Figure6Result",
-    "Figure7Result",
-    "Figure8Result",
-    "LeakageTableResult",
-    "default_sim",
-    "run_figure2",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8a",
-    "run_figure8b",
-    "run_leakage_table",
-    "BenchmarkRow",
-    "SchemeComparison",
-    "relative_change",
-    "FullReport",
-    "full_report",
-    "SeededStat",
-    "replicate_headline",
-    "StashScalingCell",
-    "StashScalingReport",
-    "TimingValidation",
-    "run_stash_scaling",
-    "run_stash_scaling_cell",
-    "validate_timing",
-    "export_figure2",
-    "export_figure5",
-    "export_figure6",
-    "export_figure7",
-    "export_figure8",
-    "Table",
-    "format_value",
-]
+#: Public name -> the module that defines it, in ``__all__`` order.  A
+#: submodule is imported only when one of its names is first looked up.
+_EXPORTS = {
+    "AGGREGATE": "repro.analysis.frontier",
+    "POWER_AWARE_OBJECTIVES": "repro.analysis.frontier",
+    "BenchmarkFrontier": "repro.analysis.frontier",
+    "FrontierPoint": "repro.analysis.frontier",
+    "FrontierReport": "repro.analysis.frontier",
+    "dominated": "repro.analysis.frontier",
+    "frontier_from_resultset": "repro.analysis.frontier",
+    "frontier_points": "repro.analysis.frontier",
+    "knee_point": "repro.analysis.frontier",
+    "pareto_front": "repro.analysis.frontier",
+    "pareto_set": "repro.analysis.frontier",
+    "CalibrationResult": "repro.analysis.calibration",
+    "run_calibration": "repro.analysis.calibration",
+    "FIG6_BENCHMARKS": "repro.analysis.experiments",
+    "Figure2Result": "repro.analysis.experiments",
+    "Figure5Result": "repro.analysis.experiments",
+    "Figure6Result": "repro.analysis.experiments",
+    "Figure7Result": "repro.analysis.experiments",
+    "Figure8Result": "repro.analysis.experiments",
+    "LeakageTableResult": "repro.analysis.experiments",
+    "default_sim": "repro.analysis.experiments",
+    "run_figure2": "repro.analysis.experiments",
+    "run_figure5": "repro.analysis.experiments",
+    "run_figure6": "repro.analysis.experiments",
+    "run_figure7": "repro.analysis.experiments",
+    "run_figure8a": "repro.analysis.experiments",
+    "run_figure8b": "repro.analysis.experiments",
+    "run_leakage_table": "repro.analysis.experiments",
+    "BenchmarkRow": "repro.analysis.overhead",
+    "SchemeComparison": "repro.analysis.overhead",
+    "relative_change": "repro.analysis.overhead",
+    "FullReport": "repro.analysis.report",
+    "full_report": "repro.analysis.report",
+    "SeededStat": "repro.analysis.seeds",
+    "replicate_headline": "repro.analysis.seeds",
+    "StashScalingCell": "repro.analysis.stash_scaling",
+    "StashScalingReport": "repro.analysis.stash_scaling",
+    "TimingValidation": "repro.analysis.stash_scaling",
+    "run_stash_scaling": "repro.analysis.stash_scaling",
+    "run_stash_scaling_cell": "repro.analysis.stash_scaling",
+    "validate_timing": "repro.analysis.stash_scaling",
+    "export_figure2": "repro.analysis.export",
+    "export_figure5": "repro.analysis.export",
+    "export_figure6": "repro.analysis.export",
+    "export_figure7": "repro.analysis.export",
+    "export_figure8": "repro.analysis.export",
+    "Table": "repro.analysis.tables",
+    "format_value": "repro.analysis.tables",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

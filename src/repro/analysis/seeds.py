@@ -4,15 +4,15 @@ The paper reports single runs of deterministic SPEC binaries; our
 workloads are synthetic, so the honest analogue is to replicate each
 experiment across generator seeds and report means with confidence
 intervals.  ``replicate_headline`` reruns the Figure 6 headline deltas
-across seeds and summarizes them with Student-t intervals (scipy).
+across seeds and summarizes them with Student-t intervals.  scipy, which
+supplies the t quantile, is imported only when an interval is asked for,
+so the rest of the package runs on a numpy-only install.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean, stdev
-
-from scipy import stats
 
 from repro.analysis.experiments import FIG6_BENCHMARKS
 from repro.core.scheme import BaseDramScheme, BaseOramScheme, StaticScheme, dynamic
@@ -37,6 +37,13 @@ class SeededStat:
         n = len(self.values)
         if n < 2:
             return (self.mean, self.mean)
+        try:
+            from scipy import stats
+        except ImportError as exc:
+            raise ImportError(
+                "SeededStat.confidence_interval needs scipy; install the 'dev' "
+                "extra (pip install 'repro-oram-timing[dev]')"
+            ) from exc
         half = stats.t.ppf(0.5 + level / 2.0, n - 1) * stdev(self.values) / n**0.5
         return (self.mean - half, self.mean + half)
 

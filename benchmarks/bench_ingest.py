@@ -61,9 +61,9 @@ SCHEME = StaticScheme(rate=100, oram_latency=200)
 
 
 def _base_refs() -> int:
-    # ~1 memory reference per 40 instructions keeps the scalar streaming
-    # functional pass affordable at 16x while leaving the footprint gap
-    # between the pipelines unmistakable.
+    # ~1 memory reference per 40 instructions keeps the in-memory side's
+    # scalar reference pass affordable at 16x while leaving the footprint
+    # gap between the pipelines unmistakable.
     return max(4_000, bench_instructions() // 40)
 
 

@@ -4,7 +4,9 @@ Five tiers, mirroring the layers this repository's runtime is spent in:
 
 * **functional** — :func:`repro.cache.hierarchy.simulate_hierarchy` on a
   pinned trace, fast kernel vs scalar reference, with a
-  :meth:`~repro.cpu.trace.MissTrace.checksum` equivalence check;
+  :meth:`~repro.cpu.trace.MissTrace.checksum` equivalence check, plus a
+  streaming row: the same trace fed to the resumable kernel in
+  ingest-sized chunks, timed as a same-process ratio to the in-memory pass;
 * **timing** — :func:`repro.sim.timing.run_timing` replays of that trace
   under representative schemes, fast vs reference, with a
   :class:`~repro.sim.result.SimResult` equivalence check;
@@ -48,6 +50,7 @@ from repro.cache.hierarchy import (
     simulate_hierarchy,
     simulate_hierarchy_reference,
 )
+from repro.cache.streaming import run_functional_streaming
 from repro.cpu.trace import MemoryTrace, MissTrace
 from repro.sim.timing import run_timing, run_timing_batch
 from repro.core.scheme import expand_scheme_grid, scheme_from_spec
@@ -79,6 +82,12 @@ FRONTIER_CELL_WORKLOADS: tuple[str, ...] = ("libquantum", "mcf")
 PERF_TIERS: tuple[str, ...] = (
     "functional", "timing", "oram", "frontier_cell", "tenancy_step", "sweep"
 )
+
+#: Chunk size of the functional tier's streamed row.  Small enough that
+#: every workload crosses many chunk boundaries (quick-mode libquantum
+#: has about 23k references), large enough to sit on the measured
+#: plateau where per-feed dispatch is noise (docs/tradeoffs.md, Part 5).
+STREAMING_CHUNK_REFS = 4096
 
 #: Post-warm-up instruction budgets.
 FULL_INSTRUCTIONS = 1_000_000
@@ -142,7 +151,14 @@ class FunctionalBench:
     speedup: float
     refs_per_sec_fast: float
     refs_per_sec_reference: float
+    #: The streamed pass (``run_functional_streaming`` in
+    #: :data:`STREAMING_CHUNK_REFS`-reference chunks) and its speed over
+    #: the in-memory fast pass's, both timed in one process so host speed
+    #: cancels out of the ratio.
+    refs_per_sec_streaming: float
+    streaming_ratio: float
     checksum: str
+    #: Fast and streamed outputs both match the reference bit-for-bit.
     equivalent: bool
 
 
@@ -312,6 +328,10 @@ class PerfReport:
                 f"  {b.refs_per_sec_reference:>12,.0f} ref"
                 f"  {b.speedup:5.1f}x  [{flag}]"
             )
+            lines.append(
+                f"  {'streamed':>14}: {b.refs_per_sec_streaming:>12,.0f} in "
+                f"{STREAMING_CHUNK_REFS}-ref chunks, {b.streaming_ratio:.2f}x of fast"
+            )
         lines.append("timing replay (requests/sec):")
         for b in self.timing:
             flag = "ok" if b.equivalent else "MISMATCH"
@@ -393,10 +413,19 @@ def bench_functional(
         lambda: simulate_hierarchy_reference(trace, warmup_instructions=warmup),
         max(1, repeats // 2),
     )
-    fast_s, fast_mt = _best_of(
-        lambda: simulate_hierarchy(trace, warmup_instructions=warmup, mode="fast"),
-        repeats,
-    )
+    # Fast and streamed passes alternate, so a burst of host load hits
+    # both sides of their ratio alike.
+    fast_s = streaming_s = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fast_mt = simulate_hierarchy(trace, warmup_instructions=warmup, mode="fast")
+        t1 = time.perf_counter()
+        streamed_mt = run_functional_streaming(
+            trace, warmup_instructions=warmup, chunk_refs=STREAMING_CHUNK_REFS
+        )
+        t2 = time.perf_counter()
+        fast_s = min(fast_s, t1 - t0)
+        streaming_s = min(streaming_s, t2 - t1)
     checksum = fast_mt.checksum()
     bench = FunctionalBench(
         workload=workload,
@@ -408,8 +437,10 @@ def bench_functional(
         speedup=ref_s / fast_s,
         refs_per_sec_fast=trace.n_references / fast_s,
         refs_per_sec_reference=trace.n_references / ref_s,
+        refs_per_sec_streaming=trace.n_references / streaming_s,
+        streaming_ratio=fast_s / streaming_s,
         checksum=checksum,
-        equivalent=checksum == ref_mt.checksum(),
+        equivalent=ref_mt.checksum() == checksum == streamed_mt.checksum(),
     )
     return bench, fast_mt
 

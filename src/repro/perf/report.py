@@ -22,7 +22,10 @@ Gating rules:
   (>= 3x over round-robin at 16 tenants);
 * **no functional tier may ship with a speedup below 1.0** — a fast
   kernel slower than its own oracle on any pinned workload is a
-  regression, full stop (``min_functional_speedup_all``).
+  regression, full stop (``min_functional_speedup_all``);
+* the streamed functional pass on libquantum must run at
+  ``min_streaming_ratio`` or more of the in-memory pass's speed, a
+  same-process ratio that host speed cannot flip.
 
 Updating the baseline after an intentional change:
 
@@ -50,6 +53,13 @@ DEFAULT_MIN_ORAM_SPEEDUP = 10.0
 #: Every functional workload must at least match its scalar oracle.
 DEFAULT_MIN_FUNCTIONAL_SPEEDUP_ALL = 1.0
 
+#: The streaming headline workload and its floor on streamed over
+#: in-memory refs/s.  The resumable kernel streams libquantum at about
+#: 0.9x in 4096-reference chunks; the scalar streaming port it replaced
+#: ran at about 0.3x.
+STREAMING_HEADLINE_WORKLOAD = "libquantum"
+DEFAULT_MIN_STREAMING_RATIO = 0.7
+
 #: The frontier-cell headline workload and the batched replay's floor:
 #: a 16-config batch must beat 16 sequential reference replays >= 5x.
 FRONTIER_CELL_HEADLINE_WORKLOAD = "libquantum"
@@ -73,6 +83,7 @@ def report_to_baseline(report: PerfReport) -> dict:
         "min_functional_speedup": DEFAULT_MIN_SPEEDUP,
         "headline_workload": HEADLINE_WORKLOAD,
         "min_functional_speedup_all": DEFAULT_MIN_FUNCTIONAL_SPEEDUP_ALL,
+        "min_streaming_ratio": DEFAULT_MIN_STREAMING_RATIO,
         "min_oram_speedup": DEFAULT_MIN_ORAM_SPEEDUP,
         "oram_headline_workload": ORAM_HEADLINE_WORKLOAD,
         "min_frontier_cell_speedup": DEFAULT_MIN_FRONTIER_CELL_SPEEDUP,
@@ -142,8 +153,8 @@ def check_against_baseline(report: PerfReport, baseline: dict) -> list[str]:
     for bench in report.functional:
         if not bench.equivalent:
             failures.append(
-                f"functional[{bench.workload}]: fast kernel output diverges "
-                "from the scalar reference (correctness bug)"
+                f"functional[{bench.workload}]: fast or streamed kernel output "
+                "diverges from the scalar reference (correctness bug)"
             )
     for bench in report.timing:
         if not bench.equivalent:
@@ -275,6 +286,25 @@ def check_against_baseline(report: PerfReport, baseline: dict) -> list[str]:
                 f"functional[{bench.workload}]: speedup {bench.speedup:.2f}x "
                 f"is below the {min_all:.1f}x ship floor (fast kernel slower "
                 "than its oracle)"
+            )
+
+    min_ratio = float(baseline.get("min_streaming_ratio", 0.0))
+    if min_ratio > 0 and report.functional:
+        bench = next(
+            (b for b in report.functional
+             if b.workload == STREAMING_HEADLINE_WORKLOAD),
+            None,
+        )
+        if bench is None:
+            failures.append(
+                f"streaming[{STREAMING_HEADLINE_WORKLOAD}]: headline workload "
+                "not measured"
+            )
+        elif bench.streaming_ratio < min_ratio:
+            failures.append(
+                f"streaming[{STREAMING_HEADLINE_WORKLOAD}]: streamed pass runs at "
+                f"{bench.streaming_ratio:.2f}x of the in-memory pass, below "
+                f"the {min_ratio:.2f}x floor"
             )
 
     min_cell = float(baseline.get("min_frontier_cell_speedup", 0.0))

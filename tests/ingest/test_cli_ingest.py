@@ -127,6 +127,39 @@ class TestReplay:
                      "--verify"]) == 0
         assert "identical" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field", [
+        "n_instructions", "real_accesses", "dummy_accesses", "epochs",
+    ])
+    def test_replay_verify_names_the_first_differing_field(
+        self, capsys, monkeypatch, store_dir, tmp_path, field
+    ):
+        # Fields beyond cycles/power/waste are part of the contract too:
+        # a streamed replay that differs only there must fail --verify.
+        import repro.sim.streaming as sim_streaming
+
+        replay = sim_streaming.run_timing_streaming
+
+        def skewed(*args, **kwargs):
+            result = replay(*args, **kwargs)
+            if field == "n_instructions":
+                result.n_instructions += 1
+            elif field == "epochs":
+                result.epochs = [*result.epochs, result.epochs[-1]]
+            else:
+                setattr(result.controller, field,
+                        getattr(result.controller, field) + 1)
+            return result
+
+        digest = self._import(store_dir, tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sim_streaming, "run_timing_streaming", skewed)
+        assert main(["ingest", "--store", store_dir,
+                     "--replay", digest,
+                     "--scheme", "dynamic:4x4",
+                     "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert f"streaming vs in-memory: MISMATCH in {field}" in out
+
 
 class TestArgHandling:
     def test_no_action_exits_2(self, capsys, store_dir):

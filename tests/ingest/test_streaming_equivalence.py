@@ -8,15 +8,33 @@ with the same ``checksum()`` as :func:`simulate_hierarchy`, and the
 timing replay must produce the same cycles, counters, epoch history,
 and power as :func:`run_timing`.  Chunk boundaries are an
 implementation detail; these properties make that a theorem.
+
+The functional machine is the in-memory fast kernel itself, so its
+edge cases (boundaries at the warm-up crossover, runs cut by a boundary,
+empty chunks, scan-mode switches) are checked against the scalar oracle
+``simulate_hierarchy_reference``, and its memory is guarded: it keeps
+no reference to a fed chunk, and one feed's working set stays bounded.
 """
+
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.hierarchy import simulate_hierarchy
-from repro.cache.streaming import run_functional_streaming, stream_functional
+from repro.cache.hierarchy import (
+    HierarchyConfig,
+    simulate_hierarchy,
+    simulate_hierarchy_reference,
+)
+from repro.cache.streaming import (
+    StreamingHierarchyPass,
+    run_functional_streaming,
+    stream_functional,
+)
 from repro.core.epochs import EpochSchedule
 from repro.core.scheme import (
     BaseDramScheme,
@@ -24,8 +42,8 @@ from repro.core.scheme import (
     DynamicScheme,
     StaticScheme,
 )
-from repro.cpu.trace import EnergyEvents, MissTrace
-from repro.ingest import header_for, trace_chunks
+from repro.cpu.trace import EnergyEvents, MemoryTrace, MissTrace
+from repro.ingest import TraceChunk, header_for, trace_chunks
 from repro.sim.streaming import miss_trace_chunks, run_timing_streaming
 from repro.sim.timing import run_timing
 from repro.workloads.registry import build_trace
@@ -92,15 +110,6 @@ class TestFunctionalStreaming:
         streamed = run_functional_streaming(trace, chunk_refs=chunk_refs)
         assert streamed.checksum() == simulate_hierarchy(trace).checksum()
 
-    @pytest.mark.parametrize("mode", ["fast", "reference"])
-    def test_both_modes_accepted(self, workload_trace, mode):
-        streamed = run_functional_streaming(workload_trace, mode=mode, chunk_refs=997)
-        assert streamed.checksum() == simulate_hierarchy(workload_trace).checksum()
-
-    def test_unknown_mode_rejected(self, workload_trace):
-        with pytest.raises(ValueError, match="mode"):
-            run_functional_streaming(workload_trace, mode="psychic")
-
     def test_explicit_header_and_chunks_seam(self, workload_trace):
         # The (header, chunks) entry point — what the ingest pipeline
         # feeds — matches the whole-trace entry point.
@@ -109,6 +118,187 @@ class TestFunctionalStreaming:
             chunks=trace_chunks(workload_trace, chunk_refs=1111),
         )
         assert streamed.checksum() == simulate_hierarchy(workload_trace).checksum()
+
+
+#: 2-set/2-way L1 over a 2-set/4-way L2: a handful of lines thrashes it.
+TINY = HierarchyConfig(
+    l1i_bytes=256, l1i_ways=2,
+    l1d_bytes=256, l1d_ways=2,
+    l2_bytes=512, l2_ways=4,
+    line_bytes=64,
+)
+
+
+def make_trace(lines, stores, gaps, name="edge"):
+    return MemoryTrace(
+        name=name,
+        input_name="x",
+        addresses=np.asarray(lines, dtype=np.uint64) * 64,
+        is_store=np.asarray(stores, dtype=bool),
+        gap_instructions=np.asarray(gaps, dtype=np.int64),
+    )
+
+
+def split_at(trace, cuts):
+    """Chunks of ``trace`` cut before each index in ``cuts`` (copies)."""
+    bounds = [0, *sorted(cuts), trace.n_references]
+    return [
+        TraceChunk(
+            trace.addresses[lo:hi].copy(),
+            trace.is_store[lo:hi].copy(),
+            trace.gap_instructions[lo:hi].copy(),
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def assert_matches_oracle(trace, chunks, config=None, warmup=0):
+    reference = simulate_hierarchy_reference(
+        trace, config, warmup_instructions=warmup
+    )
+    streamed = run_functional_streaming(
+        header_for(trace), config, warmup_instructions=warmup, chunks=chunks
+    )
+    assert streamed.checksum() == reference.checksum()
+    assert type(streamed.total_compute_cycles) is float
+    return reference
+
+
+def crossover_index(trace, warmup):
+    """Index of the first reference counted after ``warmup`` instructions."""
+    cum = np.cumsum(trace.gap_instructions + 1)
+    return int(np.searchsorted(cum, warmup, side="left"))
+
+
+class TestResumableKernelEdges:
+    """The resumable machine against the scalar oracle, case by case."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "after"])
+    @pytest.mark.parametrize("bench", ["mcf", "h264ref"])
+    def test_boundary_at_warmup_crossover(self, bench, offset):
+        trace = build_trace(bench, seed=5, n_instructions=80_000)
+        warmup = 30_000
+        crossover = crossover_index(trace, warmup)
+        assert 1 < crossover < trace.n_references - 1
+        assert_matches_oracle(
+            trace, split_at(trace, [crossover + offset]), warmup=warmup
+        )
+
+    @pytest.mark.parametrize("warmup", [0, 4])
+    def test_run_straddling_a_boundary_carries_the_dirty_bit(self, warmup):
+        # Line 4 is read twice in chunk one and stored in chunk two; lines
+        # 0/2/6/8 then evict it from L1 and L2, so its writeback request
+        # exists only if the store's dirty bit survived the boundary.
+        lines = [4, 4, 4, 0, 2, 6, 8, 10, 12]
+        stores = [False, False, True, False, False, False, False, False, False]
+        trace = make_trace(lines, stores, [1] * len(lines))
+        reference = assert_matches_oracle(
+            trace, split_at(trace, [2]), TINY, warmup=warmup
+        )
+        assert reference.energy.writebacks == 1
+
+    def test_warmup_longer_than_the_trace(self):
+        trace = build_trace("mcf", seed=5, n_instructions=20_000)
+        reference = assert_matches_oracle(
+            trace, split_at(trace, [100, 101, 900]), warmup=10**9
+        )
+        assert reference.n_requests == 0
+        assert reference.n_instructions == int(trace.gap_instructions.sum()) + trace.n_references
+
+    def test_empty_chunk_mid_stream(self):
+        trace = build_trace("mcf", seed=5, n_instructions=40_000)
+        crossover = crossover_index(trace, 9_000)
+        assert 0 < crossover < 500
+        assert_matches_oracle(
+            trace, split_at(trace, [crossover, crossover, 500, 500, 1200]),
+            warmup=9_000,
+        )
+
+    @given(
+        lines=st.lists(st.integers(0, 15), min_size=0, max_size=120),
+        stores=st.lists(st.booleans(), min_size=120, max_size=120),
+        gaps=st.lists(st.integers(0, 12), min_size=120, max_size=120),
+        cuts=st.lists(st.integers(0, 120), max_size=6),
+        warmup=st.sampled_from([0, 1, 40, 300, 10_000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_cuts_any_warmup_match_the_oracle(
+        self, lines, stores, gaps, cuts, warmup
+    ):
+        n = len(lines)
+        trace = make_trace(lines, stores[:n], gaps[:n])
+        cuts = [min(cut, n) for cut in cuts]
+        assert_matches_oracle(trace, split_at(trace, cuts), TINY, warmup=warmup)
+
+    @pytest.mark.parametrize("chunk_refs", [500, 1_000, 2_000, 3_001])
+    def test_scan_mode_switches_mid_chunk(self, chunk_refs):
+        # The mcf pointer chase alone never leaves the scalar scan mode;
+        # spliced between hit-dense h264ref phases it forces the machine
+        # from vector to scalar mode and back, at points no chunk size
+        # here aligns with.
+        mcf = build_trace("mcf", seed=3, n_instructions=300_000)
+        h264 = build_trace("h264ref", seed=3, n_instructions=300_000)
+        parts = (h264, mcf, h264)
+        trace = MemoryTrace(
+            name="mcf-spliced", input_name="x",
+            addresses=np.concatenate([p.addresses for p in parts]),
+            is_store=np.concatenate([p.is_store for p in parts]),
+            gap_instructions=np.concatenate([p.gap_instructions for p in parts]),
+        )
+        machine = StreamingHierarchyPass(header_for(trace))
+        modes = ""
+        for chunk in trace_chunks(trace, chunk_refs):
+            machine.feed(chunk)
+            modes += "v" if machine._vector_mode else "s"
+        # Vector mode at some chunk end, scalar at a later one, vector
+        # again after that: both switches happened inside a chunk.
+        assert "vs" in modes and "sv" in modes[modes.index("vs"):]
+        assert_matches_oracle(trace, trace_chunks(trace, chunk_refs))
+
+    def test_feed_or_finish_after_finish_raise(self):
+        trace = build_trace("mcf", seed=5, n_instructions=10_000)
+        chunks, machine = stream_functional(
+            header_for(trace), trace_chunks(trace, 500)
+        )
+        for _ in chunks:
+            pass
+        machine.finish()
+        with pytest.raises(RuntimeError, match="after finish"):
+            machine.feed(next(trace_chunks(trace, 10)))
+        with pytest.raises(RuntimeError, match="twice"):
+            machine.finish()
+
+
+class TestFunctionalMemoryGuard:
+    """Bounded memory is the point of streaming; pin it by allocation."""
+
+    def test_machine_keeps_no_chunk_arrays(self):
+        trace = build_trace("mcf", seed=5, n_instructions=40_000)
+        machine = StreamingHierarchyPass(header_for(trace))
+        chunk = split_at(trace, [])[0]
+        machine.feed(chunk)
+        addresses = weakref.ref(chunk.addresses)
+        del chunk
+        gc.collect()
+        assert addresses() is None
+
+    def test_one_mcf_feed_peak_allocation(self):
+        # 65536 references, the ingest reader's default chunk.  The bound
+        # sits below what a per-reference scalar loop peaks at here (about
+        # 8.2 MiB) and far below one whole-chunk vectorized step (about
+        # 19.9 MiB), so neither shape can come back unnoticed.
+        trace = build_trace("mcf", seed=0, n_instructions=2_300_000)
+        chunk = next(trace_chunks(trace, 65_536))
+        assert len(chunk) == 65_536
+        machine = StreamingHierarchyPass(header_for(trace))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            machine.feed(chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"one feed peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestTimingStreaming:

@@ -26,11 +26,14 @@ from repro.perf.report import (
 )
 
 
-def _functional(workload="kernel_stream", rps=1_000_000.0, speedup=6.0, equivalent=True):
+def _functional(workload="kernel_stream", rps=1_000_000.0, speedup=6.0,
+                equivalent=True, streaming_ratio=1.0):
     return FunctionalBench(
         workload=workload, n_instructions=100_000, n_refs=30_000, n_requests=10,
         reference_s=0.18, fast_s=0.03, speedup=speedup,
         refs_per_sec_fast=rps, refs_per_sec_reference=rps / speedup,
+        refs_per_sec_streaming=rps * streaming_ratio,
+        streaming_ratio=streaming_ratio,
         checksum="abc", equivalent=equivalent,
     )
 
@@ -66,7 +69,8 @@ def _frontier_cell(workload="libquantum", rps=4e6, speedup=6.0, equivalent=True)
 def _report(**kwargs):
     defaults = dict(
         version=3, quick=True, n_instructions=100_000, repeats=1,
-        functional=[_functional()], timing=[_timing()], oram=[_oram()],
+        functional=[_functional(), _functional(workload="libquantum")],
+        timing=[_timing()], oram=[_oram()],
         frontier_cell=[_frontier_cell()],
         sweep=SweepBench(
             benchmarks=("a",), schemes=("base_dram",), n_instructions=100_000,
@@ -84,12 +88,16 @@ class TestBaselineGate:
 
     def test_throughput_drop_within_tolerance_passes(self):
         baseline = report_to_baseline(_report())
-        dropped = _report(functional=[_functional(rps=750_000.0)])
+        dropped = _report(functional=[
+            _functional(rps=750_000.0), _functional(workload="libquantum"),
+        ])
         assert check_against_baseline(dropped, baseline) == []
 
     def test_throughput_drop_beyond_tolerance_fails(self):
         baseline = report_to_baseline(_report())
-        dropped = _report(functional=[_functional(rps=500_000.0)])
+        dropped = _report(functional=[
+            _functional(rps=500_000.0), _functional(workload="libquantum"),
+        ])
         failures = check_against_baseline(dropped, baseline)
         assert len(failures) == 1
         assert "below baseline" in failures[0]
@@ -125,7 +133,10 @@ class TestBaselineGate:
     def test_unknown_metrics_in_report_are_ignored(self):
         baseline = report_to_baseline(_report())
         extra = _report(
-            functional=[_functional(), _functional(workload="new_workload")]
+            functional=[
+                _functional(), _functional(workload="libquantum"),
+                _functional(workload="new_workload"),
+            ]
         )
         assert check_against_baseline(extra, baseline) == []
 
@@ -197,6 +208,23 @@ class TestBaselineGate:
         failures = check_against_baseline(bad, baseline)
         assert any("frontier_cell" in f and "correctness" in f for f in failures)
 
+    def test_streaming_ratio_floor_fails_a_scalar_speed_stream(self):
+        baseline = report_to_baseline(_report())
+        slow = _report(functional=[
+            _functional(), _functional(workload="libquantum", streaming_ratio=0.3),
+        ])
+        assert check_against_baseline(slow, baseline) == [
+            "streaming[libquantum]: streamed pass runs at 0.30x of the "
+            "in-memory pass, below the 0.70x floor"
+        ]
+
+    def test_missing_streaming_headline_fails(self):
+        baseline = report_to_baseline(_report())
+        failures = check_against_baseline(
+            _report(functional=[_functional()]), baseline
+        )
+        assert failures == ["streaming[libquantum]: headline workload not measured"]
+
 
 class TestSerialization:
     def test_report_round_trip(self, tmp_path):
@@ -225,6 +253,9 @@ class TestRealBenches:
         assert bench.equivalent
         assert bench.n_refs > 0
         assert bench.checksum == miss_trace.checksum()
+        assert bench.streaming_ratio == pytest.approx(
+            bench.refs_per_sec_streaming / bench.refs_per_sec_fast
+        )
 
     def test_timing_bench_is_equivalent(self):
         _, miss_trace = bench_functional("libquantum", 30_000, repeats=1)
@@ -272,6 +303,12 @@ class TestCommittedBaseline:
         assert baseline["min_functional_speedup"] >= 5.0
         assert 0.0 < baseline["tolerance"] < 1.0
         assert "kernel_stream" in baseline["functional"]
+
+    def test_committed_baseline_gates_streaming(self):
+        # The scalar streaming port ran libquantum at about 0.3x of the
+        # in-memory pass; the committed floor must reject that.
+        baseline = load_baseline(REPO_ROOT / "benchmarks" / "baselines.json")
+        assert 0.5 <= baseline["min_streaming_ratio"] < 1.0
 
     def test_committed_baseline_gates_oram(self):
         baseline = load_baseline(REPO_ROOT / "benchmarks" / "baselines.json")

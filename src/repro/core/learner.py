@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.counters import PerfCounters
 from repro.core.rates import RateSet
 from repro.util.bitops import strict_next_power_of_two
@@ -171,192 +169,3 @@ class ThresholdLearner:
             dummy_fraction = 1.0 - rate / max(gap, 1.0)
             stall = dummy_fraction * self.latency / 2.0 + rate / 2.0
         return stall / ideal
-
-
-# ----------------------------------------------------------------------
-# Config-batched decisions (the batched timing kernel's transition path)
-# ----------------------------------------------------------------------
-#
-# ``decide_batch`` evaluates one epoch transition for a *batch* of
-# configurations at once — the per-config update the batched replay
-# kernel (:func:`repro.sim.timing.run_timing_batch`) applies whenever a
-# subset of its configs crosses an epoch boundary in the same advance.
-# The contract is bit-identity with the scalar ``decide`` per config:
-#
-# * every counter/estimate operation is pure integer or IEEE-754 float
-#   arithmetic applied elementwise, which numpy evaluates with the same
-#   operations in the same order as the scalar code;
-# * the averaging learner's shift divider is exact integer arithmetic
-#   (``AccessCount.bit_length()`` right-shifts);
-# * log-space discretization is the one transcendental step, so it runs
-#   through the *same* ``math.log2``-based ``RateSet.nearest_log`` per
-#   config (|R| <= 16 and transitions are rare, so this costs nothing
-#   measurable) rather than risking ULP divergence via ``np.log2``.
-
-
-def _padded_rates(rate_sets: list[RateSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack rate sets into a (n, max|R|) float matrix padded with +inf."""
-    width = max(len(rs) for rs in rate_sets)
-    matrix = np.full((len(rate_sets), width), np.inf)
-    valid = np.zeros((len(rate_sets), width), dtype=bool)
-    for row, rs in enumerate(rate_sets):
-        matrix[row, : len(rs)] = rs.rates
-        valid[row, : len(rs)] = True
-    return matrix, valid
-
-
-def _averaging_batch(
-    learners: list[AveragingLearner],
-    access_counts: np.ndarray,
-    wastes: np.ndarray,
-    oram_cycles: np.ndarray,
-    epoch_cycles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Equation 1 + Algorithm 1 for one learner group."""
-    exact_divide = learners[0].exact_divide
-    log_discretize = learners[0].log_discretize
-    n = len(learners)
-    raw = np.full(n, np.inf)
-    chosen = np.array([lr.rates.slowest for lr in learners], dtype=np.int64)
-    pos = access_counts > 0
-    if pos.any():
-        numerator = np.maximum(0.0, epoch_cycles - wastes - oram_cycles)
-        if exact_divide:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                raw_pos = numerator / access_counts
-        else:
-            # Algorithm 1: right-shift by AccessCount.bit_length() —
-            # strict_next_power_of_two(ac) is 2**ac.bit_length(), and
-            # np.frexp's exponent *is* the bit length for positive ints.
-            shift = np.frexp(np.maximum(access_counts, 1))[1].astype(np.int64)
-            raw_pos = (numerator.astype(np.int64) >> shift).astype(np.float64)
-        raw = np.where(pos, raw_pos, raw)
-        if log_discretize:
-            for row in np.flatnonzero(pos):
-                chosen[row] = learners[row].rates.nearest_log(float(raw[row]))
-        else:
-            matrix, valid = _padded_rates([lr.rates for lr in learners])
-            distance = np.where(valid, np.abs(raw[:, None] - matrix), np.inf)
-            # argmin takes the first minimum, matching the scalar scan's
-            # strictly-closer update (ties break toward the faster rate).
-            nearest = matrix[np.arange(n), np.argmin(distance, axis=1)]
-            chosen = np.where(pos, nearest.astype(np.int64), chosen)
-    return raw, chosen
-
-
-def _threshold_batch(
-    learners: list[ThresholdLearner],
-    access_counts: np.ndarray,
-    wastes: np.ndarray,
-    oram_cycles: np.ndarray,
-    epoch_cycles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Section 7.3 threshold predictor for one learner group.
-
-    ``_projected_overhead`` is pure float arithmetic, so evaluating it
-    elementwise over a (configs x rates) matrix reproduces the scalar
-    floats exactly; padded lanes are masked to +inf before the min.
-    """
-    sharpness = learners[0].sharpness
-    n = len(learners)
-    raw = np.full(n, np.inf)
-    chosen = np.array([lr.rates.slowest for lr in learners], dtype=np.int64)
-    pos = access_counts > 0
-    if not pos.any():
-        return raw, chosen
-    latency = np.array([float(lr.latency) for lr in learners])
-    matrix, valid = _padded_rates([lr.rates for lr in learners])
-    width = matrix.shape[1]
-    with np.errstate(all="ignore"):
-        gap = np.where(
-            pos,
-            np.maximum(0.0, epoch_cycles - wastes - oram_cycles)
-            / np.maximum(access_counts, 1),
-            0.0,
-        )
-        gap_col = gap[:, None]
-        lat_col = latency[:, None]
-        ideal = gap_col + lat_col
-        stall_over = (matrix - gap_col) / 2.0 + lat_col * (
-            gap_col / np.maximum(matrix, 1.0)
-        ) * 0.5
-        stall_under = (1.0 - matrix / np.maximum(gap_col, 1.0)) * lat_col / 2.0 + (
-            matrix / 2.0
-        )
-        stall = np.where(matrix >= gap_col, stall_over, stall_under)
-        overhead = np.where(valid, stall / ideal, np.inf)
-    best = np.min(overhead, axis=1)
-    qualifies = valid & (overhead <= (best + sharpness)[:, None])
-    # The scalar scan keeps the *last* qualifying (slowest) candidate.
-    last = width - 1 - np.argmax(qualifies[:, ::-1], axis=1)
-    picked = matrix[np.arange(n), last].astype(np.int64)
-    raw = np.where(pos, gap, raw)
-    chosen = np.where(pos & qualifies.any(axis=1), picked, chosen)
-    return raw, chosen
-
-
-def _group_key(learner) -> tuple | None:
-    """Batchable-group identity for a learner, or None for unknown types."""
-    if type(learner) is AveragingLearner:
-        return ("averaging", learner.exact_divide, learner.log_discretize)
-    if type(learner) is ThresholdLearner:
-        return ("threshold", learner.sharpness)
-    return None
-
-
-def decide_batch(
-    learners: list,
-    access_counts: np.ndarray,
-    wastes: np.ndarray,
-    oram_cycles: np.ndarray,
-    epoch_cycles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-config rate decisions for one batched epoch transition.
-
-    Args:
-        learners: One learner per transitioning config.
-        access_counts: Epoch real-access counts (int).
-        wastes: Epoch waste counters (float).
-        oram_cycles: Epoch ORAM service cycles (float).
-        epoch_cycles: Length of the epoch just ended (float).
-
-    Returns:
-        ``(raw_estimates, chosen_rates)`` arrays, elementwise identical
-        to calling each learner's ``decide`` with the same counters.
-        Unknown learner subclasses fall back to their scalar ``decide``.
-    """
-    if np.any(epoch_cycles <= 0):
-        raise ValueError("epoch_cycles must be positive for every config")
-    n = len(learners)
-    raw = np.empty(n)
-    chosen = np.empty(n, dtype=np.int64)
-    groups: dict[tuple, list[int]] = {}
-    scalar_rows: list[int] = []
-    for row, learner in enumerate(learners):
-        key = _group_key(learner)
-        if key is None:
-            scalar_rows.append(row)
-        else:
-            groups.setdefault(key, []).append(row)
-    for key, rows in groups.items():
-        idx = np.asarray(rows, dtype=np.int64)
-        handler = _averaging_batch if key[0] == "averaging" else _threshold_batch
-        raw_g, chosen_g = handler(
-            [learners[row] for row in rows],
-            access_counts[idx],
-            wastes[idx],
-            oram_cycles[idx],
-            epoch_cycles[idx],
-        )
-        raw[idx] = raw_g
-        chosen[idx] = chosen_g
-    for row in scalar_rows:
-        counters = PerfCounters(
-            access_count=int(access_counts[row]),
-            oram_cycles=float(oram_cycles[row]),
-            waste=float(wastes[row]),
-        )
-        decision = learners[row].decide(counters, float(epoch_cycles[row]))
-        raw[row] = decision.raw_estimate
-        chosen[row] = decision.chosen_rate
-    return raw, chosen

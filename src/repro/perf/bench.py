@@ -18,7 +18,9 @@ Five tiers, mirroring the layers this repository's runtime is spent in:
 * **frontier_cell** — one frontier cell's replay workload: a 16-config
   dynamic-grid slice replayed by one
   :func:`repro.sim.timing.run_timing_batch` call versus 16 sequential
-  reference replays, with per-config SimResult equivalence checks;
+  reference replays, with per-config SimResult equivalence checks, and
+  versus 16 sequential fast ``run_timing`` replays (the per-scheme
+  kernels a batch must not lose to), on dense and sparse traces;
 * **tenancy_step** — the multi-tenant service step: 16 closed-loop
   tenants on one shared bank, the batched scheduler (one
   ``access_batch`` call per round) versus round-robin (one call per
@@ -75,8 +77,10 @@ PERF_SCHEMES: tuple[str, ...] = ("base_dram", "base_oram", "static:300", "dynami
 #: one ``run_timing_batch`` call per (workload, repeat).
 FRONTIER_CELL_GRID = "grid:dynamic:{rates=2,4,6,8}x{epochs=2,4,6,9}:{learner=avg}"
 
-#: Workloads the frontier-cell tier replays (request-dense streams).
-FRONTIER_CELL_WORKLOADS: tuple[str, ...] = ("libquantum", "mcf")
+#: Workloads the frontier-cell tier replays: two request-dense streams,
+#: where lockstep runs certify, and a sparse one (``gobmk``), where
+#: nearly every request needs dummies and the batch runs per config.
+FRONTIER_CELL_WORKLOADS: tuple[str, ...] = ("libquantum", "mcf", "gobmk")
 
 #: The perf-suite tiers, in execution order.
 PERF_TIERS: tuple[str, ...] = (
@@ -202,7 +206,9 @@ class FrontierCellBench:
     ``reference_s`` times ``n_configs`` sequential ``mode="reference"``
     replays (the per-scheme oracle, consistent with every other tier);
     ``fast_s`` times the single ``run_timing_batch`` call that replaces
-    them in a frontier sweep.
+    them in a frontier sweep; ``per_scheme_s`` times ``n_configs``
+    sequential fast ``run_timing`` replays, the alternative a batch
+    must not lose to.
     """
 
     workload: str
@@ -216,6 +222,10 @@ class FrontierCellBench:
     requests_per_sec_fast: float
     requests_per_sec_reference: float
     equivalent: bool
+    #: Per-scheme fast replays, timed alternating with the batch in one
+    #: process so host speed cancels out of their ratio.
+    per_scheme_s: float
+    speedup_vs_per_scheme: float
 
 
 @dataclass
@@ -357,6 +367,7 @@ class PerfReport:
                 f" {b.requests_per_sec_fast:>12,.0f} batched"
                 f"  {b.requests_per_sec_reference:>12,.0f} ref"
                 f"  {b.speedup:5.1f}x  [{flag}]"
+                f"  {b.speedup_vs_per_scheme:.2f}x of per-scheme fast"
             )
         if self.tenancy_step:
             lines.append("tenancy step (requests/sec):")
@@ -554,16 +565,24 @@ def bench_frontier_cell(
     (benchmark, seed): one ``run_timing_batch`` call over the grid
     slice.  The reference is the per-scheme scalar oracle, replayed
     sequentially — the same fast-vs-reference contract as every other
-    tier.  Every per-config result must be bit-identical.
+    tier.  Every per-config result must be bit-identical.  The batch is
+    also timed against the per-scheme fast kernels, alternating.
     """
     schemes = [scheme_from_spec(spec) for spec in expand_scheme_grid(grid)]
     ref_s, ref_results = _best_of(
         lambda: run_timing_batch(miss_trace, schemes, mode="reference"),
         max(1, repeats // 2),
     )
-    fast_s, fast_results = _best_of(
-        lambda: run_timing_batch(miss_trace, schemes, mode="fast"), repeats
-    )
+    fast_s = per_scheme_s = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fast_results = run_timing_batch(miss_trace, schemes, mode="fast")
+        t1 = time.perf_counter()
+        for scheme in schemes:
+            run_timing(miss_trace, scheme)
+        t2 = time.perf_counter()
+        fast_s = min(fast_s, t1 - t0)
+        per_scheme_s = min(per_scheme_s, t2 - t1)
     n = miss_trace.n_requests
     total = n * len(schemes)
     return FrontierCellBench(
@@ -580,6 +599,8 @@ def bench_frontier_cell(
             _results_equivalent(fast, ref)
             for fast, ref in zip(fast_results, ref_results)
         ),
+        per_scheme_s=per_scheme_s,
+        speedup_vs_per_scheme=per_scheme_s / fast_s,
     )
 
 
@@ -677,7 +698,7 @@ def run_perf_suite(
             f"unknown perf tiers {sorted(unknown)}; accepted: {', '.join(PERF_TIERS)}"
         )
     report = PerfReport(
-        version=4, quick=quick, n_instructions=n_instructions, repeats=repeats
+        version=5, quick=quick, n_instructions=n_instructions, repeats=repeats
     )
     miss_traces: dict[str, MissTrace] = {}
 

@@ -25,7 +25,12 @@ Gating rules:
   regression, full stop (``min_functional_speedup_all``);
 * the streamed functional pass on libquantum must run at
   ``min_streaming_ratio`` or more of the in-memory pass's speed, a
-  same-process ratio that host speed cannot flip.
+  same-process ratio that host speed cannot flip;
+* the batched frontier cell on the sparse workload (gobmk) must run at
+  ``min_frontier_cell_vs_per_scheme`` or more of the speed of replaying
+  its schemes one by one through the fast ``run_timing`` — the other
+  same-process ratio, and the one that catches a batch losing to the
+  per-scheme kernels where lockstep rarely certifies.
 
 Updating the baseline after an intentional change:
 
@@ -65,6 +70,13 @@ DEFAULT_MIN_STREAMING_RATIO = 0.7
 FRONTIER_CELL_HEADLINE_WORKLOAD = "libquantum"
 DEFAULT_MIN_FRONTIER_CELL_SPEEDUP = 5.0
 
+#: The sparse frontier-cell workload and the batched replay's floor on
+#: per-scheme fast time over batched time.  Lockstep certifies almost
+#: nothing on gobmk, so the batch runs per config and lands at about
+#: 0.95x; the numpy per-request stepping it replaced ran at about 0.18x.
+FRONTIER_CELL_SPARSE_WORKLOAD = "gobmk"
+DEFAULT_MIN_FRONTIER_CELL_VS_PER_SCHEME = 0.5
+
 #: The tenancy headline workload and the batched scheduler's floor:
 #: packing 16 tenants per bank call must beat round-robin >= 3x.
 TENANCY_STEP_HEADLINE_WORKLOAD = "tenants_16"
@@ -88,6 +100,7 @@ def report_to_baseline(report: PerfReport) -> dict:
         "oram_headline_workload": ORAM_HEADLINE_WORKLOAD,
         "min_frontier_cell_speedup": DEFAULT_MIN_FRONTIER_CELL_SPEEDUP,
         "frontier_cell_headline_workload": FRONTIER_CELL_HEADLINE_WORKLOAD,
+        "min_frontier_cell_vs_per_scheme": DEFAULT_MIN_FRONTIER_CELL_VS_PER_SCHEME,
         "min_tenancy_step_speedup": DEFAULT_MIN_TENANCY_STEP_SPEEDUP,
         "tenancy_step_headline_workload": TENANCY_STEP_HEADLINE_WORKLOAD,
         "functional": {
@@ -321,6 +334,26 @@ def check_against_baseline(report: PerfReport, baseline: dict) -> list[str]:
             failures.append(
                 f"frontier_cell[{cell_headline}]: speedup {measured:.1f}x is "
                 f"below the required {min_cell:.1f}x floor"
+            )
+
+    min_vs_per_scheme = float(baseline.get("min_frontier_cell_vs_per_scheme", 0.0))
+    if min_vs_per_scheme > 0 and report.frontier_cell:
+        bench = next(
+            (b for b in report.frontier_cell
+             if b.workload == FRONTIER_CELL_SPARSE_WORKLOAD),
+            None,
+        )
+        if bench is None:
+            failures.append(
+                f"frontier_cell[{FRONTIER_CELL_SPARSE_WORKLOAD}]: sparse "
+                "workload not measured"
+            )
+        elif bench.speedup_vs_per_scheme < min_vs_per_scheme:
+            failures.append(
+                f"frontier_cell[{FRONTIER_CELL_SPARSE_WORKLOAD}]: batched "
+                f"replay runs at {bench.speedup_vs_per_scheme:.2f}x of the "
+                "per-scheme fast kernels, below the "
+                f"{min_vs_per_scheme:.2f}x floor"
             )
 
     min_tenancy = float(baseline.get("min_tenancy_step_speedup", 0.0))

@@ -28,28 +28,34 @@ Two replay kernels produce **bit-identical** :class:`SimResult`\\ s:
   ops (the interleaved gap/latency ``np.cumsum`` reproduces the scalar
   ``+=`` chain exactly, because cumsum is a sequential recurrence) with a
   vectorized write-buffer-stall check and a reference fallback on the
-  rare full-buffer stall.  Slot controllers (static/dynamic) keep the
-  per-request loop but replace the per-dummy-slot ``_advance`` iteration
-  with closed-form integer slot arithmetic per idle window — the
-  controller timeline never depends on fractional arrival times, only on
+  rare full-buffer stall.  Slot controllers (static and dynamic alike)
+  run the one scalar slot loop, :func:`_slot_feed`: a per-request loop
+  that replaces the per-dummy-slot ``_advance`` iteration with
+  closed-form integer slot arithmetic per idle window — the controller
+  timeline never depends on fractional arrival times, only on
   comparisons against them, so the whole slot/dummy/epoch state machine
-  runs on exact Python integers whose float images match the reference's
-  accumulated floats bit for bit.
+  runs on exact Python integers whose float images match the
+  reference's accumulated floats bit for bit.  :class:`_SlotMachine`
+  makes that loop resumable: the in-memory replay is one feed of the
+  whole trace, and :mod:`repro.sim.streaming` feeds it chunks.
 
 ``record_observable_trace`` runs always use the reference kernel: the
 adversary-view trace wants one append per access, which is exactly the
 per-event work the fast kernels eliminate.
 
 A third entry point batches the *configuration* axis:
-:func:`run_timing_batch` replays one miss trace under many schemes with
-the slot-controller state of every configuration held in
-``(n_configs,)`` numpy arrays advanced in lockstep — the frontier
-sweep's workhorse, bit-identical per config to ``run_timing`` (the
-per-scheme replay stays the oracle, enforced by
-``tests/sim/test_batch_equivalence.py``).  The batched kernel assumes
-the usual trace regime (non-negative gaps, timelines below 2**53 so
-integer-valued doubles stay exact), which every generated workload
-satisfies.
+:func:`run_timing_batch` replays one miss trace under many schemes —
+the frontier sweep's workhorse, bit-identical per config to
+``run_timing`` (the per-scheme replay stays the oracle, enforced by
+``tests/sim/test_batch_equivalence.py``).  Its slot-controller state
+lives in ``(n_configs,)`` arrays advanced at two grains: certified
+lockstep runs in closed form where every config is dummy-free and
+boundary-free (dense traces), and the scalar slot loop per config for
+everything else (sparse or rate-mixed batches), so a batch never costs
+much more than replaying its schemes one by one.  The batched kernel
+assumes the usual trace regime (non-negative gaps, timelines below
+2**53 so integer-valued doubles stay exact), which every generated
+workload satisfies.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ from repro.core.controller import (
     TimingProtectedController,
     UnprotectedController,
 )
-from repro.core.learner import decide_batch
 from repro.cpu.trace import MissTrace
 from repro.power.coefficients import PAPER_COEFFICIENTS
 from repro.power.model import (
@@ -101,28 +106,9 @@ def run_timing(
         raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
     controller = scheme.build_controller()
     controller.record_trace = record_observable_trace
-    if mode == "fast" and not record_observable_trace:
-        if type(controller) is FlatDramController:
-            replay = _replay_flat_dram(
-                miss_trace, controller, write_buffer_entries, record_requests
-            )
-            if replay is not None:
-                return _finish(miss_trace, scheme, controller, *replay)
-            # Rare full-buffer stall: fall through to the reference loop.
-        elif type(controller) is UnprotectedController:
-            replay = _replay_unprotected(
-                miss_trace, controller, write_buffer_entries, record_requests
-            )
-            return _finish(miss_trace, scheme, controller, *replay)
-        elif type(controller) is TimingProtectedController:
-            replay = _replay_slotted(
-                miss_trace, controller, write_buffer_entries, record_requests
-            )
-            return _finish(miss_trace, scheme, controller, *replay)
-        # Unknown controller types replay through the reference loop.
-    return _replay_reference(
+    return _replay(
         miss_trace, scheme, controller, write_buffer_entries,
-        record_requests, record_observable_trace,
+        record_requests, record_observable_trace, mode,
     )
 
 
@@ -136,64 +122,82 @@ def run_timing_batch(
     """Replay one miss trace under many schemes with one batched kernel.
 
     The frontier sweep's workhorse: a design-space grid replays the
-    *same* arrival stream under every configuration, so the slot-state
-    machine carries the configuration axis as a numpy dimension —
-    ``(n_configs,)`` arrays for rate, timeline, epoch boundary, and
-    counters, advanced in lockstep over the shared requests.  Epoch
-    transitions apply as masked per-config updates with the learner
-    decisions evaluated by :func:`repro.core.learner.decide_batch`.
+    *same* arrival stream under every configuration, so the slot
+    controllers share one kernel whose state carries the configuration
+    axis as ``(n_configs,)`` lanes.  Stretches where every config
+    certifies replay in lockstep closed form; everything else steps
+    per config through the scalar slot loop (see
+    :func:`_replay_slotted_batch`).
 
     Returns one :class:`SimResult` per scheme, in order, each
     **bit-identical** to ``run_timing(miss_trace, scheme, ...)`` — the
     per-scheme replay stays the oracle, same contract pattern as the
     cache and ORAM kernel pairs (enforced by
     ``tests/sim/test_batch_equivalence.py``).  Schemes without a slot
-    controller (``base_dram``/``base_oram``) and degenerate batches of
-    one slot scheme replay through their (already fast) single-config
-    kernels; ``mode="reference"`` delegates every scheme to the scalar
-    reference loop.
+    controller (``base_dram``/``base_oram``) replay through their
+    single-config kernels; ``mode="reference"`` delegates every scheme
+    to the scalar reference loop.
     """
     if mode not in ("fast", "reference"):
         raise ValueError(f"mode must be 'fast' or 'reference', got {mode!r}")
     schemes = list(schemes)
-    if mode == "reference":
-        return [
-            run_timing(
-                miss_trace, scheme, write_buffer_entries,
-                record_requests, mode="reference",
-            )
-            for scheme in schemes
-        ]
     results: list = [None] * len(schemes)
     slotted: list[int] = []
-    controllers: dict[int, TimingProtectedController] = {}
+    controllers = []
     for index, scheme in enumerate(schemes):
         controller = scheme.build_controller()
-        if type(controller) is TimingProtectedController:
+        if mode == "fast" and type(controller) is TimingProtectedController:
             slotted.append(index)
-            controllers[index] = controller
+            controllers.append(controller)
         else:
-            results[index] = run_timing(
-                miss_trace, scheme, write_buffer_entries,
-                record_requests, mode="fast",
+            results[index] = _replay(
+                miss_trace, scheme, controller, write_buffer_entries,
+                record_requests, False, mode,
             )
-    if len(slotted) == 1:
-        index = slotted[0]
-        results[index] = run_timing(
-            miss_trace, schemes[index], write_buffer_entries,
-            record_requests, mode="fast",
-        )
-    elif slotted:
+    if slotted:
         batch = _replay_slotted_batch(
-            miss_trace, [controllers[i] for i in slotted],
-            write_buffer_entries, record_requests,
+            miss_trace, controllers, write_buffer_entries, record_requests
         )
-        for index, (end_time, completions) in zip(slotted, batch):
+        for index, controller, (end_time, completions) in zip(
+            slotted, controllers, batch
+        ):
             results[index] = _finish(
-                miss_trace, schemes[index], controllers[index],
-                end_time, completions,
+                miss_trace, schemes[index], controller, end_time, completions
             )
     return results
+
+
+def _replay(
+    miss_trace, scheme, controller, entries,
+    record_requests, record_observable_trace, mode,
+) -> SimResult:
+    """Replay on a freshly built controller with the kernel ``mode`` picks."""
+    if mode == "fast" and not record_observable_trace:
+        if type(controller) is FlatDramController:
+            replay = _replay_flat_dram(
+                miss_trace, controller, entries, record_requests
+            )
+            if replay is not None:
+                return _finish(miss_trace, scheme, controller, *replay)
+            # Rare full-buffer stall: fall through to the reference loop.
+        elif type(controller) is UnprotectedController:
+            replay = _replay_unprotected(
+                miss_trace, controller, entries, record_requests
+            )
+            return _finish(miss_trace, scheme, controller, *replay)
+        elif type(controller) is TimingProtectedController:
+            machine = _SlotMachine(controller, entries)
+            completions = [] if record_requests else None
+            machine.feed(miss_trace, completions)
+            end_time = machine.finish(miss_trace)
+            if completions is not None:
+                completions = np.array(completions, dtype=np.float64)
+            return _finish(miss_trace, scheme, controller, end_time, completions)
+        # Unknown controller types replay through the reference loop.
+    return _replay_reference(
+        miss_trace, scheme, controller, entries,
+        record_requests, record_observable_trace,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -326,80 +330,73 @@ def _replay_unprotected(miss_trace, controller, entries, record_requests):
     return float(end_time), completions
 
 
-def _replay_slotted(miss_trace, controller, entries, record_requests):
-    """Slot-controller replay with closed-form dummy-slot arithmetic.
+# ----------------------------------------------------------------------
+# The scalar slot machine
+# ----------------------------------------------------------------------
+
+#: Epoch boundary of a static slot controller.  Timelines stay below
+#: 2**53, so the boundary is never due and static and dynamic schemes
+#: share one loop (and one int64 lane in the batched kernel).
+_NO_EPOCH = 1 << 62
+
+
+def _slot_state(controller) -> tuple:
+    """A slot controller's initial scalar state (see :func:`_slot_feed`)."""
+    schedule = controller.schedule
+    epoch_end = _NO_EPOCH if schedule is None else schedule.epoch_length(0)
+    return (0, controller.rate, epoch_end, 0, 0, 0, 0.0, 0.0, 0.0, False)
+
+
+def _slot_feed(controller, state, buffer, entries, gaps, blocking, lo, hi, out):
+    """Replay requests ``lo..hi-1`` on one slot controller: the scalar loop.
+
+    ``state`` is ``(prev, rate, epoch_end, epoch_index, epoch_access,
+    dummies, epoch_waste, total_waste, core, last_was_real)``; the new
+    state is returned.  ``buffer`` (a deque of in-flight write-buffer
+    completions) is updated in place, and each completion is appended
+    to ``out`` unless it is ``None``.
 
     The controller timeline (slots, dummies, epochs) is integer-valued:
     every quantity is a sum of ``rate``/``latency`` integers, and arrival
-    times only enter *comparisons*, never the arithmetic.  Keeping the
-    timeline in exact Python integers therefore reproduces the
-    reference's float timeline bit for bit (integer-valued doubles are
-    exact), while an idle window of k dummy slots costs O(1) arithmetic
-    instead of k loop iterations.
-
-    The advance/transition machinery is inlined into two specialized
-    request loops (static schemes skip every epoch check; dynamic
-    schemes only enter the slow path when a dummy or boundary is
-    actually pending), so the common request — arriving inside the
-    current slot window — costs a handful of local operations instead
-    of a closure call.
+    times only enter *comparisons*, never the arithmetic.  Keeping it in
+    exact Python integers therefore reproduces the reference's float
+    timeline bit for bit, while an idle window of k dummy slots costs
+    O(1) arithmetic (:func:`_slot_advance`) instead of k iterations.
+    The common request, arriving inside the current slot window with no
+    boundary due, costs a handful of local operations.
     """
-    if controller.schedule is None:
-        return _replay_slotted_static(miss_trace, controller, entries, record_requests)
-    return _replay_slotted_dynamic(miss_trace, controller, entries, record_requests)
-
-
-def _replay_slotted_static(miss_trace, controller, entries, record_requests):
-    """Static-rate slot controller: no epochs, no learner, one rate forever."""
-    gaps = miss_trace.gap_cycles.tolist()
-    blocking = miss_trace.is_blocking.tolist()
-    n = len(gaps)
+    (prev, rate, epoch_end, epoch_index, epoch_access, dummies,
+     epoch_waste, total_waste, core, last_was_real) = state
     latency = controller.latency
-    rate = controller.rate
     rate_f = float(rate)
-    step = rate + latency
-
-    prev = 0  # _completion_prev, exact integer timeline
-    last_was_real = False
-    total_dummy = 0
-    total_waste = 0.0
-
-    completions = np.zeros(n, dtype=np.float64) if record_requests else None
-
-    core = 0.0
-    buffer: deque = deque()
     buf_pop = buffer.popleft
     buf_push = buffer.append
-
-    for i in range(n):
+    record = out.append if out is not None else None
+    # The epoch's access count is kept as an offset from the loop index
+    # (request i is the epoch's access number base + i).
+    base = epoch_access - lo
+    for i in range(lo, hi):
         arrival = core + gaps[i]
-        # ---- inline advance(arrival): fire dummies before the arrival ----
-        if prev + rate < arrival:
-            # Count of dummy slots before `arrival`: j in [0, k) with
-            # prev + j*step + rate < arrival.  Estimate with float
-            # division, correct with exact integer/float comparisons.
-            k = int((arrival - prev - rate) // step) + 1
-            if k < 1:
-                k = 1
-            while k > 0 and prev + (k - 1) * step + rate >= arrival:
-                k -= 1
-            while prev + k * step + rate < arrival:
-                k += 1
-            prev += k * step
-            total_dummy += k
-            last_was_real = False
-        # ---- serve(arrival) ----
         slot = prev + rate
-        if arrival <= prev:
-            if last_was_real:
-                waste = rate_f  # Req 3
-            else:
-                waste = slot - arrival  # Req 2: dummy remainder + gap
+        if slot < arrival or prev >= epoch_end:
+            (prev, rate, epoch_end, epoch_index, epoch_access, epoch_waste,
+             fired) = _slot_advance(
+                controller, prev, rate, epoch_end, epoch_index,
+                base + i, epoch_waste, arrival,
+            )
+            base = epoch_access - i
+            if fired:
+                dummies += fired
+                last_was_real = False
+            rate_f = float(rate)
+            slot = prev + rate
+        if arrival <= prev and last_was_real:
+            waste = rate_f  # Req 3: queued behind real work
         else:
-            waste = slot - arrival  # Req 1: idle wait, <= rate
+            waste = slot - arrival  # Req 1/2: idle wait or dummy remainder
+        epoch_waste += waste
         total_waste += waste
-        completion = slot + latency
-        prev = completion
+        prev = completion = slot + latency
         last_was_real = True
         # ---- core/write-buffer reaction ----
         if blocking[i]:
@@ -414,208 +411,196 @@ def _replay_slotted_static(miss_trace, controller, entries, record_requests):
                     proceed = oldest
             buf_push(completion)
             core = proceed
-        if completions is not None:
-            completions[i] = completion
+        if record is not None:
+            record(completion)
+    return (prev, rate, epoch_end, epoch_index, base + hi, dummies,
+            epoch_waste, total_waste, core, last_was_real)
 
-    end_time = core + miss_trace.total_compute_cycles
-    drain = buffer[-1] if buffer else 0.0
-    end_time = float(max(end_time, drain))
-    # Finalize: trailing dummies up to program termination.
-    if prev + rate < end_time:
-        k = int((end_time - prev - rate) // step) + 1
+
+def _slot_advance(controller, prev, rate, epoch_end, epoch_index,
+                  epoch_access, epoch_waste, until):
+    """Fire every dummy slot that starts strictly before ``until``.
+
+    The count of dummy slots in an idle window is estimated with float
+    division and pinned by exact integer/float comparisons, then capped
+    at the epoch boundary, where a learner transition may change the
+    rate.  Returns the updated epoch state and the number fired.
+    """
+    latency = controller.latency
+    fired = 0
+    while True:
+        while prev >= epoch_end:
+            rate, epoch_index, epoch_end = _epoch_transition(
+                controller, epoch_index, epoch_end, epoch_access, epoch_waste
+            )
+            epoch_access = 0
+            epoch_waste = 0.0
+        if prev + rate >= until:
+            return (prev, rate, epoch_end, epoch_index, epoch_access,
+                    epoch_waste, fired)
+        # Dummy slots j in [0, k) with prev + j*step + rate < until.
+        step = rate + latency
+        k = int((until - prev - rate) // step) + 1
         if k < 1:
             k = 1
-        while k > 0 and prev + (k - 1) * step + rate >= end_time:
+        while k > 0 and prev + (k - 1) * step + rate >= until:
             k -= 1
-        while prev + k * step + rate < end_time:
+        while prev + k * step + rate < until:
             k += 1
+        # Dummies may only fire while prev stays inside the epoch.
+        span = -(-(epoch_end - prev) // step)
+        if span < k:
+            k = span
         prev += k * step
-        total_dummy += k
-
-    # Publish the final state back onto the controller.  The epoch
-    # counters never reset (no transitions), so they equal the run
-    # totals; oram_cycles is n exact integer additions of `latency`,
-    # which is n * latency exactly.
-    counters = controller.counters
-    counters.access_count = n
-    counters.oram_cycles = float(n * latency)
-    counters.waste = total_waste
-    controller.stats.real_accesses = n
-    controller.stats.dummy_accesses = total_dummy
-    controller.stats.total_waste = total_waste
-    return end_time, completions
+        fired += k
 
 
-def _replay_slotted_dynamic(miss_trace, controller, entries, record_requests):
-    """Epoch-driven slot controller: learner transitions at boundaries."""
-    gaps = miss_trace.gap_cycles.tolist()
-    blocking = miss_trace.is_blocking.tolist()
-    n = len(gaps)
-    latency = controller.latency
+def _epoch_transition(controller, epoch_index, epoch_end, access, waste):
+    """One learner decision at the boundary ``epoch_end``.
+
+    Returns the next epoch's ``(rate, epoch_index, epoch_end)`` and
+    appends its :class:`EpochRecord` to the controller.
+    """
     schedule = controller.schedule
-    epoch_len = schedule.epoch_length
-    learner = controller.learner
     counters = controller.counters
-    epochs = controller.epochs
+    counters.access_count = access
+    counters.oram_cycles = float(access * controller.latency)
+    counters.waste = waste
+    decision = controller.learner.decide(
+        counters, float(schedule.epoch_length(epoch_index))
+    )
+    counters.reset()
+    epoch_index += 1
+    rate = decision.chosen_rate
+    controller.epochs.append(
+        EpochRecord(
+            index=epoch_index,
+            start_cycle=float(epoch_end),
+            rate=rate,
+            raw_estimate=decision.raw_estimate,
+        )
+    )
+    return rate, epoch_index, epoch_end + schedule.epoch_length(epoch_index)
 
-    rate = controller.rate
-    rate_f = float(rate)
-    step = rate + latency
-    prev = 0  # _completion_prev, exact integer timeline
-    last_was_real = False
-    epoch_index = 0
-    epoch_end = epoch_len(0)
 
-    # Epoch counters (flushed into `counters` at each learner call).
-    # ``oram_cycles`` is derived: the reference accumulates `latency`
-    # once per served request, and integer-valued float accumulation is
-    # exact, so it always equals access_count * latency.
-    ctr_access = 0
-    ctr_waste = 0.0
-    # Run totals (flushed into controller.stats at the end).
-    total_dummy = 0
-    total_waste = 0.0
+def _slot_finish(controller, state, buffer, n_requests, total_compute_cycles):
+    """Fire the trailing dummies, publish the final state, return end time.
 
-    def advance(until: float) -> None:
-        """Fire every dummy slot starting strictly before ``until``,
-        processing epoch transitions as the timeline crosses them."""
-        nonlocal prev, last_was_real, total_dummy
-        nonlocal rate, rate_f, step, epoch_index, epoch_end
-        nonlocal ctr_access, ctr_waste
-        while True:
-            while prev >= epoch_end:
-                # ---- epoch transition ----
-                epoch_cycles = float(epoch_len(epoch_index))
-                counters.access_count = ctr_access
-                counters.oram_cycles = float(ctr_access * latency)
-                counters.waste = ctr_waste
-                decision = learner.decide(counters, epoch_cycles)
-                counters.reset()
-                ctr_access = 0
-                ctr_waste = 0.0
-                epoch_index += 1
-                epoch_start = epoch_end
-                rate = decision.chosen_rate
-                rate_f = float(rate)
-                step = rate + latency
-                epochs.append(
-                    EpochRecord(
-                        index=epoch_index,
-                        start_cycle=float(epoch_start),
-                        rate=rate,
-                        raw_estimate=decision.raw_estimate,
-                    )
-                )
-                epoch_end = epoch_start + epoch_len(epoch_index)
-            if prev + rate >= until:
-                return
-            # Count of dummy slots before `until`: j in [0, k) with
-            # prev + j*step + rate < until.  Estimate with float division
-            # and correct with exact integer/float comparisons.
-            k = int((until - prev - rate) // step) + 1
-            if k < 1:
-                k = 1
-            while k > 0 and prev + (k - 1) * step + rate >= until:
-                k -= 1
-            while prev + k * step + rate < until:
-                k += 1
-            # Dummies may only fire while prev stays inside the epoch;
-            # the transition at the boundary can change the rate.
-            span = epoch_end - prev
-            k2 = -(-span // step)
-            if k2 < k:
-                k = k2
-            if k <= 0:
-                continue  # epoch boundary first; transition and retry
-            prev += k * step
-            total_dummy += k
-            last_was_real = False
-
-    completions = np.zeros(n, dtype=np.float64) if record_requests else None
-
-    core = 0.0
-    buffer: deque = deque()
-    buf_pop = buffer.popleft
-    buf_push = buffer.append
-
-    for i in range(n):
-        arrival = core + gaps[i]
-        # ---- serve(arrival) ----
-        if prev >= epoch_end or prev + rate < arrival:
-            advance(arrival)
-        slot = prev + rate
-        if arrival <= prev:
-            if last_was_real:
-                waste = rate_f  # Req 3
-            else:
-                waste = slot - arrival  # Req 2: dummy remainder + gap
-        else:
-            waste = slot - arrival  # Req 1: idle wait, <= rate
-        ctr_waste += waste
-        total_waste += waste
-        completion = slot + latency
-        ctr_access += 1
-        prev = completion
-        last_was_real = True
-        # ---- core/write-buffer reaction ----
-        if blocking[i]:
-            core = completion
-        else:
-            while buffer and buffer[0] <= arrival:
-                buf_pop()
-            proceed = arrival
-            while len(buffer) >= entries:
-                oldest = buf_pop()
-                if oldest > proceed:
-                    proceed = oldest
-            buf_push(completion)
-            core = proceed
-        if completions is not None:
-            completions[i] = completion
-
-    end_time = core + miss_trace.total_compute_cycles
+    The epoch counters are published as the controller would hold them
+    (a static scheme never resets them, so they equal the run totals;
+    ``oram_cycles`` is ``access_count`` exact additions of ``latency``).
+    """
+    (prev, rate, epoch_end, epoch_index, epoch_access, dummies,
+     epoch_waste, total_waste, core, _) = state
+    end_time = core + total_compute_cycles
     drain = buffer[-1] if buffer else 0.0
     end_time = float(max(end_time, drain))
-    advance(end_time)  # finalize: trailing dummies
-
-    # Publish the final state back onto the controller.
+    prev, rate, epoch_end, epoch_index, epoch_access, epoch_waste, fired = (
+        _slot_advance(
+            controller, prev, rate, epoch_end, epoch_index,
+            epoch_access, epoch_waste, end_time,
+        )
+    )
     controller.rate = rate
-    counters.access_count = ctr_access
-    counters.oram_cycles = float(ctr_access * latency)
-    counters.waste = ctr_waste
-    controller.stats.real_accesses = n
-    controller.stats.dummy_accesses = total_dummy
+    counters = controller.counters
+    counters.access_count = epoch_access
+    counters.oram_cycles = float(epoch_access * controller.latency)
+    counters.waste = epoch_waste
+    controller.stats.real_accesses = n_requests
+    controller.stats.dummy_accesses = dummies + fired
     controller.stats.total_waste = total_waste
-    return end_time, completions
+    return end_time
+
+
+class _SlotMachine:
+    """The scalar slot loop as a resumable machine.
+
+    ``feed`` takes anything with ``gap_cycles``/``is_blocking`` arrays
+    (a :class:`~repro.cpu.trace.MissTrace` or a streamed chunk) and
+    ``finish`` anything with ``total_compute_cycles``; the in-memory
+    replay is one feed of the whole trace.
+    """
+
+    def __init__(self, controller, entries: int) -> None:
+        self.controller = controller
+        self.entries = entries
+        self.state = _slot_state(controller)
+        self.buffer: deque = deque()
+        self.n = 0
+
+    def feed(self, chunk, completions: list | None = None) -> None:
+        gaps = chunk.gap_cycles.tolist()
+        self.state = _slot_feed(
+            self.controller, self.state, self.buffer, self.entries,
+            gaps, chunk.is_blocking.tolist(), 0, len(gaps), completions,
+        )
+        self.n += len(gaps)
+
+    def finish(self, summary) -> float:
+        return _slot_finish(
+            self.controller, self.state, self.buffer, self.n,
+            summary.total_compute_cycles,
+        )
 
 
 # ----------------------------------------------------------------------
 # Config-batched slotted kernel
 # ----------------------------------------------------------------------
 
-def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
-    """Advance many slot controllers in lockstep over one arrival stream.
+#: Lockstep window bounds (requests per attempt): the shortest run
+#: worth attempting never drops below ``_RUN_MIN``, and ``_RUN_MAX``
+#: bounds the (window, n_configs) matrices.
+_RUN_MIN = 4
+_RUN_MAX = 256
 
-    Per-config state lives in ``(n_configs,)`` float64 arrays.  Every
-    quantity on the controller timeline is an integer-valued double
-    (sums and small products of ``rate``/``latency`` integers stay well
-    below 2**53), so the arithmetic is exact and each config's timeline
-    matches its scalar replay bit for bit; arrival times enter only
-    comparisons, exactly as in the single-config kernels.  The dummy
-    counts per idle window use the same estimate-then-correct scheme as
-    the scalar kernel — the correction comparisons pin a unique exact
-    count, so the float estimate never leaks into the result.
+#: The lockstep cost model, in *cells* — one config stepping one
+#: request through the scalar loop (about 0.35 us on the reference
+#: host).  An attempt costs about ``_ATTEMPT_CELLS`` plus one
+#: ``_LOCKSTEP_SHARE``-th of a cell per (config, request) in its window,
+#: and saves every cell it certifies.
+_ATTEMPT_CELLS = 256
+_LOCKSTEP_SHARE = 16
+
+
+def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
+    """Replay one arrival stream on many slot controllers.
+
+    Two execution grains share one canonical state, the scalar state of
+    :func:`_slot_feed` held as per-config rows of an int64 matrix
+    (``prev, rate, epoch_end, epoch_index, epoch_access, dummies``, and
+    the write-buffer fill) and a float64 one (``epoch_waste,
+    total_waste, core``, and the write-buffer ring):
+
+    * **lockstep runs** (``try_run``) replay a stretch of requests for
+      every config at once in closed form, wherever every config
+      certifies every request;
+    * **per-config stepping** runs the scalar slot loop itself for
+      whatever lockstep cannot certify: at a truncation column only the
+      configs that failed it, and between attempts every config.
+
+    When to attempt lockstep comes only from what the kernel observes
+    in its input, through one cost model counted in scalar
+    config-request *cells*:
+
+    * a skip-ahead steps scalar over every stretch the input dooms —
+      between two requests no run can certify (a gap wider than the
+      fastest rate after a blocking request, a store that would pop)
+      fewer requests than a run needs to pay for its attempt — and
+      otherwise ends the attempt's window at the dooming request;
+    * a column-0 gate rejects the attempt outright while any config has
+      a dummy or an epoch boundary due, or a store arrives before the
+      buffer it inherits has drained; the request then steps scalar.
+
+    Rows convert to scalar state in bulk at each switch.
 
     The write buffer is a per-config ring of the last ``entries``
-    non-blocking completions: completions are strictly increasing, so
-    draining is a vectorized count of live entries at or before the
-    arrival, and the blocking flag is shared by every config (it comes
-    from the trace), keeping the core-reaction branch uniform across
-    the batch.
+    non-blocking completions, the newest ``fill`` of them in flight;
+    completions are strictly increasing, so the ring and the scalar
+    loop's deque hold the same entries.
 
     Returns ``[(end_time, completions-or-None), ...]`` in controller
     order, with final rate/counter/stat state published back onto each
-    controller (same contract as the single-config kernels).
+    controller (same contract as the single-config replay).
     """
     n_cfg = len(controllers)
     # MissTrace.__post_init__ canonicalizes (contiguous float64/bool).
@@ -625,142 +610,91 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
     blocking = blocking_np.tolist()
     n = len(gaps)
 
-    lat = np.array([float(c.latency) for c in controllers])
-    rate = np.array([float(c.rate) for c in controllers])
-    step = rate + lat
-    schedules = [c.schedule for c in controllers]
-    learners = [c.learner for c in controllers]
-    has_sched = np.array([s is not None for s in schedules])
-    any_sched = bool(has_sched.any())
-    # Static configs park their boundary at +inf: `prev >= epoch_end`
-    # is then never true and the transition machinery skips them.
-    epoch_end = np.array(
-        [float(s.epoch_length(0)) if s is not None else np.inf for s in schedules]
-    )
-    epoch_index = np.zeros(n_cfg, dtype=np.int64)
-
-    prev = np.zeros(n_cfg)
-    slot = prev + rate
-    last_real = np.zeros(n_cfg, dtype=bool)
-    all_real = False  # fast-path mirror of last_real.all()
-
-    # Epoch counters: access counts derive from the shared served count
-    # (every config serves every request), oram_cycles from the exact
-    # identity `access_count * latency`; only waste needs a per-request
-    # float accumulator (reset at transitions, so the run total is a
-    # second, never-reset accumulator — float addition order matters).
-    ctr_waste = np.zeros(n_cfg)
-    served_at_reset = np.zeros(n_cfg, dtype=np.int64)
-    total_waste = np.zeros(n_cfg)
-    dummies = np.zeros(n_cfg)
-    served = 0
-
-    core = np.zeros(n_cfg)
-    wb = np.zeros((n_cfg, entries))
-    wb_count = np.zeros(n_cfg, dtype=np.int64)
-    wb_cols = np.arange(entries)
-
+    ints = np.zeros((n_cfg, 7), dtype=np.int64)
+    floats = np.zeros((n_cfg, 3 + entries))
+    for row, controller in enumerate(controllers):
+        state = _slot_state(controller)
+        ints[row, :6] = state[:6]
+        floats[row, :3] = state[6:9]
+    prev, rate, epoch_end, epoch_index, epoch_access, dummies, fill = ints.T
+    epoch_waste, total_waste, core = floats[:, 0], floats[:, 1], floats[:, 2]
+    ring = floats[:, 3:]
+    lat = np.array([c.latency for c in controllers], dtype=np.int64)
+    lat_f = lat.astype(np.float64)
     completions_out = np.zeros((n_cfg, n)) if record_requests else None
+    every = np.arange(n_cfg)
+    ring_cols = np.arange(entries)
 
-    def transition(mask) -> None:
-        """One epoch transition for every config in ``mask``."""
-        idx = np.flatnonzero(mask)
-        access = (served - served_at_reset[idx]).astype(np.float64)
-        oram_cycles = access * lat[idx]
-        epoch_cycles = np.array(
-            [float(schedules[c].epoch_length(int(epoch_index[c]))) for c in idx]
-        )
-        raw, chosen = decide_batch(
-            [learners[c] for c in idx],
-            served - served_at_reset[idx],
-            ctr_waste[idx],
-            oram_cycles,
-            epoch_cycles,
-        )
-        served_at_reset[idx] = served
-        ctr_waste[idx] = 0.0
-        epoch_index[idx] += 1
-        epoch_start = epoch_end[idx]
-        rate[idx] = chosen
-        step[idx] = rate[idx] + lat[idx]
-        next_length = np.array(
-            [float(schedules[c].epoch_length(int(epoch_index[c]))) for c in idx]
-        )
-        epoch_end[idx] = epoch_start + next_length
-        for j, c in enumerate(idx):
-            controllers[c].epochs.append(
-                EpochRecord(
-                    index=int(epoch_index[c]),
-                    start_cycle=float(epoch_start[j]),
-                    rate=int(chosen[j]),
-                    raw_estimate=float(raw[j]),
-                )
-            )
+    def step_scalar(sel, lo: int, hi: int) -> None:
+        """Replay requests ``lo..hi-1`` on configs ``sel`` (scalar loop).
 
-    def advance(until) -> None:
-        """Fire every dummy slot starting strictly before ``until``.
-
-        ``until`` broadcasts over configs (scalar or per-config array);
-        the loop rounds are bounded by epoch boundaries crossed, not by
-        dummy counts — each round fires a closed-form batch of dummies
-        capped at each config's boundary.
+        A stretch without stores leaves the write buffer alone, so its
+        ring columns are not converted at all.
         """
-        nonlocal prev, last_real, all_real, dummies
-        while True:
-            if any_sched:
-                crossing = prev >= epoch_end
-                while crossing.any():
-                    transition(crossing)
-                    crossing = prev >= epoch_end
-            pending = (prev + rate) < until
-            if not pending.any():
-                return
-            # Count of dummy slots before `until`: j in [0, k) with
-            # prev + j*step + rate < until.  Estimate with float
-            # division, then pin the unique exact count with integer-
-            # exact comparisons (all quantities are integer-valued
-            # doubles, so >=/< are exact).
-            k = np.floor((until - prev - rate) / step) + 1.0
-            np.maximum(k, 1.0, out=k)
-            while True:
-                over = pending & (k > 0.0) & ((prev + (k - 1.0) * step + rate) >= until)
-                if not over.any():
-                    break
-                k -= over
-            while True:
-                under = pending & ((prev + k * step + rate) < until)
-                if not under.any():
-                    break
-                k += under
-            if any_sched:
-                # Dummies may only fire while prev stays inside the
-                # epoch; the boundary transition can change the rate.
-                span = epoch_end - prev
-                capped = pending & has_sched
-                k2 = np.where(capped, np.ceil(span / step), np.inf)
-                while True:
-                    m = capped & (k2 > 0.0) & (((k2 - 1.0) * step) >= span)
-                    if not m.any():
-                        break
-                    k2 -= m
-                while True:
-                    m = capped & ((k2 * step) < span)
-                    if not m.any():
-                        break
-                    k2 += m
-                k = np.where(capped & (k2 < k), k2, k)
-            fire = pending & (k > 0.0)
-            if fire.any():
-                fired = np.where(fire, k, 0.0)
-                prev = prev + fired * step
-                dummies += fired
-                last_real = last_real & ~fire
-                all_real = False
-            if not any_sched:
-                return  # the uncapped count always reaches `until`
+        real = lo > 0
+        stores = False in blocking[lo:hi]
+        width = 3 + entries if stores else 3
+        irows = ints[sel].tolist()
+        frows = floats[sel, :width].tolist()
+        outs = [] if completions_out is not None else None
+        out = None
+        for c, irow, frow in zip(sel.tolist(), irows, frows):
+            count = irow[6]
+            buffer = deque(frow[width - count:] if stores and count else ())
+            if outs is not None:
+                out = []
+                outs.append(out)
+            state = _slot_feed(
+                controllers[c],
+                (irow[0], irow[1], irow[2], irow[3], irow[4], irow[5],
+                 frow[0], frow[1], frow[2], real),
+                buffer, entries, gaps, blocking, lo, hi, out,
+            )
+            irow[:6] = state[:6]
+            frow[:3] = state[6:9]
+            if stores:
+                irow[6] = count = len(buffer)
+                frow[width - count:] = buffer
+        ints[sel] = irows
+        floats[sel, :width] = frows
+        if outs is not None:
+            completions_out[sel, lo:hi] = outs
 
-    def try_run(start: int, m: int) -> int:
-        """Replay up to ``m`` requests from ``start`` as one closed form.
+    # Per-trace stretch structure: each request's position in its run
+    # of consecutive stores (-1 for a blocking request) and the stores
+    # whose position would make them pop.
+    index = np.arange(n)
+    stretch_pos = index - np.maximum.accumulate(np.where(blocking_np, index, -1)) - 1
+    pops = np.flatnonzero(stretch_pos >= entries)
+    col_offsets = np.arange(float(_RUN_MAX))
+    col_index = np.arange(_RUN_MAX)
+    # The shortest run that pays for its attempt twice over.
+    run_min = min(max(_RUN_MIN, -(-2 * _ATTEMPT_CELLS // n_cfg)), _RUN_MAX)
+    dooms: dict[int, tuple] = {}
+
+    def dooms_for(fastest: int) -> tuple:
+        """The doom-free stretches while ``fastest`` is the fastest rate.
+
+        No run can certify a request after a blocking one whose gap is
+        wider than the fastest rate (that config's slot lies behind the
+        arrival: a dummy is due), nor a store at stretch position
+        ``entries`` (it pops the buffer).  Returns ``(starts, ends)``:
+        the bounds of every stretch between two such requests that is
+        at least ``run_min`` long, each end being the dooming request
+        (or ``n``).
+        """
+        entry = dooms.get(fastest)
+        if entry is None:
+            wide = np.flatnonzero(blocking_np[:-1] & (gaps_np[1:] > fastest)) + 1
+            bounds = np.concatenate(([-1], np.union1d(wide, pops), [n]))
+            long_runs = np.flatnonzero(np.diff(bounds) > run_min)
+            entry = dooms[fastest] = (
+                bounds[long_runs] + 1, bounds[long_runs + 1]
+            )
+        return entry
+
+    def try_run(start: int, stop: int) -> int:
+        """Replay requests ``start..stop-1`` as one closed form, or a prefix.
 
         In a stretch where no config fires a dummy or crosses an epoch
         boundary, the controller timeline of *every* request — blocking
@@ -772,220 +706,283 @@ def _replay_slotted_batch(miss_trace, controllers, entries, record_requests):
         without popping, leaving ``core = arrival``.  Arrivals chain
         from the nearest completion anchor — one float rounding per
         request, evaluated matrix-wise in chain-depth passes, exactly
-        as the scalar replay rounds them.
+        as the scalar replay rounds them.  Matrices are (request,
+        config), so per-request rows are contiguous.
 
         Every assumption is *certified* per (config, request) cell with
         the same comparisons the scalar replay would make — no dummy
         pending (``arrival <= slot``), no boundary due
         (``prev < epoch_end``), stores fully draining at each stretch
         start and not draining inside one — and the run is truncated at
-        the first request where any config fails.  The per-config waste
-        accumulators are threaded through seeded ``np.cumsum`` calls
-        (sequential recurrences), so float addition order matches the
-        scalar replay bit for bit.
+        the first request where any config fails.  The configs that
+        certify the truncation request take it in closed form too, and
+        so do those whose only failure is a pending dummy that leaves
+        them inside their epoch (:func:`_slot_advance`'s count, applied
+        lane-wise); the rest take it through the scalar loop.  The
+        per-config waste accumulators are threaded through a seeded
+        ``np.add.accumulate`` (a sequential recurrence), so float
+        addition order matches the scalar replay bit for bit.
 
-        Returns ``(consumed, next_attempt)``: the number of requests
-        replayed (0: fall back to per-request stepping) and the first
-        index where attempting another run can possibly pay off.
+        The caller ends the window at the request that dooms its
+        stretch (see ``dooms_for``), which becomes the truncation
+        column.  A near epoch boundary that cuts the window too short
+        for the attempt to pay sends the window, truncation column
+        included, through the scalar loop without building any matrix.
+        Returns the number of requests every config has now replayed.
         """
-        nonlocal prev, slot, core, ctr_waste, total_waste, served, wb, wb_count
-        margin_capped = False
-        if any_sched:
-            # Cheap pre-bound: no column can clear certification past
-            # the earliest epoch boundary, so don't build matrices for
-            # it.  Columns up to margin-1 are safe by a float-slack
-            # argument (the quotient's error is << 1); only the capped
-            # tail column needs the exact comparison below.
-            margin = float(((epoch_end - prev) / step).min())
-            if margin < m:
-                m = int(margin) + 1
-                margin_capped = True
-                if m < run_min:
-                    return 0, start + 1
-        g_row = gaps_np[start:start + m]
-        blk_row = blocking_np[start:start + m]
-        nb_row = ~blk_row
-        idx_row = np.arange(m)
+        step = rate + lat
+        m = stop - start
+        # Boundary pre-bound: columns below int(margin) are boundary-
+        # free for every config by a float-slack argument (the
+        # quotient's error is << 1); the (at most two) columns from
+        # there on take the exact comparison, so the column where the
+        # first boundary falls due is a truncation column, not the
+        # next attempt's column 0.
+        margin = float(((epoch_end - prev) / step).min())
+        exact_from = m
+        if margin < m:
+            exact_from = int(margin)
+            m = min(m, exact_from + 2)
+            stop = start + m
+        if m * n_cfg < _ATTEMPT_CELLS + m * n_cfg // _LOCKSTEP_SHARE:
+            step_scalar(every, start, stop)
+            return m
+        g_row = gaps_np[start:stop]
+        blk_row = blocking_np[start:stop]
+        idx_row = col_index[:m]
+        # Window-local stretch positions (a stretch that began before
+        # the window counts from column 0) and chain depths: the
+        # distance back to the column after the nearest blocking one.
+        pos_row = np.minimum(stretch_pos[start:stop], idx_row)
+        depth_row = np.zeros(m, dtype=np.int64)
+        depth_row[1:] = np.minimum(pos_row[:-1] + 1, idx_row[1:])
 
-        slot_mat = slot[:, None] + np.multiply.outer(step, np.arange(0.0, m))
-        comp_mat = slot_mat + lat[:, None]
+        slot_mat = np.multiply.outer(col_offsets[:m], step.astype(np.float64))
+        slot_mat += (prev + rate).astype(np.float64)
+        comp_mat = slot_mat + lat_f
 
         # Arrival chains: a column whose predecessor was *blocking* is
         # anchored on that completion; a column whose predecessor was
-        # non-blocking continues from its arrival.  Depth = distance to
-        # the nearest anchor; pass d resolves every depth-d column from
-        # its (already resolved) left neighbour.
-        arrival = np.empty((n_cfg, m))
-        arrival[:, 0] = core + g_row[0]
+        # non-blocking continues from its arrival.  Pass d resolves
+        # every depth-d column (sorted by depth once) from its already
+        # resolved left neighbour.
+        arrival = np.empty((m, n_cfg))
+        np.add(core, g_row[0], out=arrival[0])
         if m > 1:
-            arrival[:, 1:] = comp_mat[:, :-1] + g_row[None, 1:]
-        chained = np.zeros(m, dtype=bool)
-        chained[1:] = nb_row[:-1]
-        if chained.any():
-            depth_row = idx_row - np.maximum.accumulate(
-                np.where(~chained, idx_row, -1)
-            )
-            for d in range(1, int(depth_row.max()) + 1):
-                cols = np.flatnonzero(depth_row == d)
-                arrival[:, cols] = arrival[:, cols - 1] + g_row[cols]
+            np.add(comp_mat[:-1], g_row[1:, None], out=arrival[1:])
+        chained = np.flatnonzero(depth_row)
+        if len(chained):
+            order = chained[np.argsort(depth_row[chained], kind="stable")]
+            ends = np.cumsum(np.bincount(depth_row[order])).tolist()
+            g_chain = g_row[order, None]
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                cols = order[lo:hi]
+                arrival[cols] = arrival[cols - 1] + g_chain[lo:hi]
 
-        # Certification, folded to one per-column row: the worst config's
-        # slot headroom decides the no-dummy condition.  Gap sign is what
-        # makes stretch-start stores drain the whole buffer automatically
-        # (arrival >= newest completion >= every older one).
+        # Certification, folded to one per-column flag: every config's
+        # slot headroom must be non-negative (no dummy pending).  Gap
+        # sign is what makes stretch-start stores drain the whole buffer
+        # automatically (arrival >= newest completion >= every older).
         diff = slot_mat - arrival
-        col_ok = diff.min(axis=0) >= 0.0
+        col_ok = (diff >= 0.0).all(axis=1)
         col_ok &= g_row >= 0.0
-        if margin_capped:
-            col_ok[m - 1] &= bool(
-                ((slot_mat[:, m - 1] - rate) < epoch_end).all()
+        due = None
+        if exact_from < m:
+            due = (
+                prev + np.multiply.outer(idx_row[exact_from:], step)
+                >= epoch_end
             )
-        if nb_row.any():
-            # Store stretches: position within a run of consecutive
-            # non-blocking requests.  Position `entries` would pop —
-            # break there; positions inside a stretch must not drain
-            # (their arrival stays below the stretch-start completion);
-            # a stretch-start store at the run head must drain every
+            col_ok[exact_from:] &= ~due.any(axis=1)
+        head_live = None
+        nb_cols = np.flatnonzero(~blk_row)
+        if len(nb_cols):
+            # Store stretches.  Position `entries` would pop — break
+            # there; positions inside a stretch must not drain (their
+            # arrival stays below the stretch-start completion); a
+            # stretch-start store at the run head must drain every
             # carried live entry.
-            nb_cols = np.flatnonzero(nb_row)
-            pos_nb = nb_cols - np.maximum.accumulate(
-                np.where(blk_row, idx_row, -1)
-            )[nb_cols] - 1
+            pos_nb = pos_row[nb_cols]
             col_ok[nb_cols[pos_nb >= entries]] = False
             stretch_mask = (pos_nb > 0) & (pos_nb < entries)
             inside = nb_cols[stretch_mask]
             if len(inside):
                 col_ok[inside] &= (
-                    comp_mat[:, inside - pos_nb[stretch_mask]]
-                    > arrival[:, inside]
-                ).all(axis=0)
-            if nb_row[0]:
-                live = wb_cols >= (entries - wb_count)[:, None]
-                col_ok[0] &= bool((~live | (wb <= arrival[:, 0:1])).all())
-        m_cert = m if col_ok.all() else int(np.argmin(col_ok))
-        if m_cert < run_min:
-            return 0, start + m_cert + 1
-        if m_cert < m:
-            blk_row = blk_row[:m_cert]
-            nb_row = nb_row[:m_cert]
-            comp_mat = comp_mat[:, :m_cert]
-            arrival = arrival[:, :m_cert]
-            diff = diff[:, :m_cert]
+                    comp_mat[inside - pos_nb[stretch_mask]] > arrival[inside]
+                ).all(axis=1)
+            if not blk_row[0]:
+                live = ring_cols >= (entries - fill)[:, None]
+                head_live = (~live | (ring <= arrival[0][:, None])).all(axis=1)
+                col_ok[0] &= bool(head_live.all())
+        certified = m if col_ok.all() else int(np.argmin(col_ok))
+
+        # The truncation column, certified per config with the same
+        # comparisons.
+        width = certified
+        passed = None
+        if certified < m:
+            j = certified
+            width = j + 1
+            passed = diff[j] >= 0.0
+            if not g_row[j] >= 0.0:
+                passed[:] = False
+            if due is not None and j >= exact_from:
+                passed &= ~due[j - exact_from]
+            if not blk_row[j]:
+                pos = int(pos_row[j])
+                if pos >= entries:
+                    passed[:] = False
+                elif pos > 0:
+                    passed &= comp_mat[j - pos] > arrival[j]
+                elif j == 0:
+                    passed &= head_live
+
+        # The failed configs whose only trouble is a pending dummy take
+        # the truncation column in closed form as well: k dummy slots,
+        # the least k with prev + k*step + rate >= arrival, provided
+        # they leave the config inside its epoch (no learner decision).
+        # Its arrival lies past every completion, so a store drains the
+        # whole buffer.
+        lane = None
+        if passed is not None:
+            scalar = ~passed
+            j = width - 1
+            cand = np.flatnonzero(scalar & (diff[j] < 0.0))
+            if len(cand):
+                prev_j = prev[cand] + j * step[cand]
+                step_c = step[cand]
+                rate_c = rate[cand]
+                arr = arrival[j, cand]
+                k = np.floor((arr - (prev_j + rate_c)) / step_c).astype(np.int64) + 1
+                np.maximum(k, 1, out=k)
+                while True:
+                    over = (k > 0) & (prev_j + (k - 1) * step_c + rate_c >= arr)
+                    if not over.any():
+                        break
+                    k -= over
+                while True:
+                    under = prev_j + k * step_c + rate_c < arr
+                    if not under.any():
+                        break
+                    k += under
+                prev_j += k * step_c
+                stays = prev_j < epoch_end[cand]
+                if stays.any():
+                    lane = cand[stays]
+                    k = k[stays]
+                    slot = prev_j[stays] + rate_c[stays]
+                    lane_waste = slot - arr[stays]
+                    lane_done = slot + lat[lane]
+                    scalar[lane] = False
 
         # waste = rate when the request queued behind real work (Req 3,
         # arrival <= prev, i.e. diff >= rate up to a value-preserving
         # rounding tie), else the wait for the next slot (Req 1/2).
-        waste_run = np.minimum(diff, rate[:, None])
-        seeded = np.empty((n_cfg, m_cert + 1))
-        seeded[:, 1:] = waste_run
-        seeded[:, 0] = ctr_waste
-        ctr_waste = np.cumsum(seeded, axis=1)[:, -1]
-        seeded[:, 0] = total_waste
-        total_waste = np.cumsum(seeded, axis=1)[:, -1]
+        # Row 0 seeds the epoch and run accumulators side by side.
+        seeded = np.empty((width + 1, 2, n_cfg))
+        np.minimum(diff[:width, None], rate.astype(np.float64), out=seeded[1:])
+        advanced_by = width
+        if passed is not None:
+            seeded[width, :, ~passed] = 0.0  # served below
+            if lane is not None:
+                seeded[width][:, lane] = lane_waste
+            advanced_by = width - ~passed
+        seeded[0, 0] = epoch_waste
+        seeded[0, 1] = total_waste
+        epoch_waste[:], total_waste[:] = np.add.accumulate(seeded, axis=0)[-1]
         if completions_out is not None:
-            completions_out[:, start:start + m_cert] = comp_mat
+            completions_out[:, start:start + width] = comp_mat[:width].T
 
         # Post-run state: the core sits at the last completion (blocking
         # tail) or the last arrival (store tail); the buffer holds
         # exactly the trailing store stretch's completions.
-        last = m_cert - 1
-        core = comp_mat[:, last].copy() if blk_row[last] else arrival[:, last].copy()
-        nb_cert = np.flatnonzero(nb_row)
-        if len(nb_cert):
-            tail = int(nb_cert[-1])
-            q = tail - int(np.maximum.accumulate(
-                np.where(blk_row, idx_row[:m_cert], -1)
-            )[tail])
-            wb_new = np.zeros((n_cfg, entries))
-            wb_new[:, entries - q:] = comp_mat[:, tail - q + 1:tail + 1]
-            wb = wb_new
-            wb_count = np.full(n_cfg, q, dtype=np.int64)
-        prev = prev + m_cert * step
-        slot = prev + rate
-        served += m_cert
-        return m_cert, start + m_cert + (0 if m_cert == m else 1)
+        def core_after(cols: int):
+            if cols == 0:
+                return core.copy()
+            last = cols - 1
+            return comp_mat[last] if blk_row[last] else arrival[last]
 
-    # The serve loop.  Two execution grains: closed-form runs between
-    # epoch boundaries (``try_run``), and per-request stepping over
-    # ``(n_configs,)`` arrays for everything the certification rejects
-    # (dummy windows, boundary crossings, buffer drains).
-    run_min = 4  # below this, per-request stepping is cheaper
-    run_chunk = 256  # certification window per attempt
-    no_attempt_before = 0
+        def ring_after(cols: int):
+            tail = cols - 1
+            while tail >= 0 and blk_row[tail]:
+                tail -= 1
+            if tail < 0:
+                return ring.copy(), fill.copy()
+            q = int(pos_row[tail]) + 1
+            after = np.zeros((n_cfg, entries))
+            after[:, entries - q:] = comp_mat[tail - q + 1:tail + 1].T
+            return after, q
+
+        if passed is None or not passed.any():
+            cols = width if passed is None else width - 1
+            new_core = core_after(cols)
+            new_ring, new_fill = ring_after(cols)
+        else:
+            new_core = np.where(passed, core_after(width), core_after(width - 1))
+            new_ring, new_fill = ring_after(width)
+            if not blk_row[width - 1]:
+                fail_ring, fail_fill = ring_after(width - 1)
+                new_ring = np.where(passed[:, None], new_ring, fail_ring)
+                new_fill = np.where(passed, new_fill, fail_fill)
+        core[:] = new_core
+        ring[:] = new_ring
+        fill[:] = new_fill
+        prev[:] += advanced_by * step
+        epoch_access[:] += advanced_by
+        if lane is not None:
+            prev[lane] = lane_done
+            epoch_access[lane] += 1
+            dummies[lane] += k
+            if blk_row[width - 1]:
+                core[lane] = lane_done
+            else:
+                core[lane] = arrival[width - 1, lane]
+                ring[lane, -1] = lane_done
+                fill[lane] = 1
+            if completions_out is not None:
+                completions_out[lane, start + width - 1] = lane_done
+        if passed is not None and scalar.any():
+            step_scalar(every[scalar], start + width - 1, start + width)
+        return width
+
     i = 0
     while i < n:
-        if all_real and i >= no_attempt_before:
-            candidate = n - i
-            if candidate > run_chunk:
-                candidate = run_chunk
-            if candidate >= run_min:
-                consumed, no_attempt_before = try_run(i, candidate)
-                if consumed:
-                    i += consumed
-                    continue
+        # Skip ahead, stepping scalar, to the next stretch the input
+        # leaves long enough for a run to pay.
+        starts, ends = dooms_for(int(rate.min()))
+        k = int(np.searchsorted(ends, i + run_min))
+        ahead = n if k == len(ends) else max(int(starts[k]), i)
+        if ahead > i:
+            step_scalar(every, i, ahead)
+            i = ahead
+            continue
+        # Column-0 gate: a pending dummy or boundary anywhere, or a
+        # store that cannot drain the buffer it inherits, means the
+        # attempt could not certify a single column.
         arrival = core + gaps[i]
-        # ---- serve(arrival) ----
-        stale = bool((slot < arrival).any())
-        if not stale and any_sched:
-            stale = bool((prev >= epoch_end).any())
-        if stale:
-            advance(arrival)
-            slot = prev + rate
-        gap_to_slot = slot - arrival
-        if all_real:
-            # Req 3 where the request queued behind real work, else the
-            # Req 1/2 wait for the next slot.
-            waste = np.where(arrival <= prev, rate, gap_to_slot)
+        if (
+            (prev + rate >= arrival).all()
+            and (prev < epoch_end).all()
+            and (blocking[i] or not (
+                (ring_cols >= (entries - fill)[:, None]) & (ring > arrival[:, None])
+            ).any())
+        ):
+            # The window ends at the request that dooms this stretch.
+            i += try_run(i, min(i + _RUN_MAX, int(ends[k]) + 1, n))
         else:
-            waste = np.where((arrival <= prev) & last_real, rate, gap_to_slot)
-            last_real[:] = True
-            all_real = True
-        ctr_waste += waste
-        total_waste += waste
-        completion = slot + lat
-        prev = completion
-        slot = completion + rate
-        served += 1
-        # ---- core/write-buffer reaction (blocking flag is shared) ----
-        if blocking[i]:
-            core = completion
-        else:
-            live = wb_cols >= (entries - wb_count)[:, None]
-            drained = (live & (wb <= arrival[:, None])).sum(axis=1)
-            wb_count = wb_count - drained
-            full = wb_count >= entries
-            if full.any():
-                oldest = wb[:, 0]
-                core = np.where(full & (oldest > arrival), oldest, arrival)
-                wb_count = wb_count - full
-            else:
-                core = arrival
-            wb[:, :-1] = wb[:, 1:]
-            wb[:, -1] = completion
-            wb_count = wb_count + 1
-        if completions_out is not None:
-            completions_out[:, i] = completion
-        i += 1
+            step_scalar(every, i, i + 1)
+            i += 1
 
-    drain = np.where(wb_count > 0, wb[:, -1], 0.0)
-    end_time = np.maximum(core + miss_trace.total_compute_cycles, drain)
-    advance(end_time)  # finalize: trailing dummies
-
-    # Publish the final state back onto each controller.
+    # Finalize each config: trailing dummies and state publication.
     out = []
-    for j, controller in enumerate(controllers):
-        controller.rate = int(rate[j])
-        access = served - int(served_at_reset[j])
-        counters = controller.counters
-        counters.access_count = access
-        counters.oram_cycles = float(access * controller.latency)
-        counters.waste = float(ctr_waste[j])
-        controller.stats.real_accesses = n
-        controller.stats.dummy_accesses = int(dummies[j])
-        controller.stats.total_waste = float(total_waste[j])
+    for c, (irow, frow) in enumerate(zip(ints.tolist(), floats.tolist())):
+        buffer = deque(frow[len(frow) - irow[6]:] if irow[6] else ())
+        end_time = _slot_finish(
+            controllers[c], (*irow[:6], *frow[:3], True), buffer, n,
+            miss_trace.total_compute_cycles,
+        )
         out.append((
-            float(end_time[j]),
-            completions_out[j].copy() if completions_out is not None else None,
+            end_time,
+            completions_out[c].copy() if completions_out is not None else None,
         ))
     return out
 

@@ -9,6 +9,7 @@ import pytest
 from repro.cache.hierarchy import simulate_hierarchy
 from repro.perf.bench import (
     FRONTIER_CELL_GRID,
+    FRONTIER_CELL_WORKLOADS,
     PERF_TIERS,
     bench_frontier_cell,
     build_perf_trace,
@@ -35,12 +36,19 @@ class TestFrontierCellBench:
         assert bench.n_requests == small_miss_trace.n_requests
         assert bench.speedup > 0
         assert bench.requests_per_sec_fast > bench.n_requests
+        assert bench.per_scheme_s > 0
+        assert bench.speedup_vs_per_scheme == pytest.approx(
+            bench.per_scheme_s / bench.fast_s
+        )
 
 
 class TestTierSelection:
     def test_single_tier_runs_only_that_tier(self, small_miss_trace):
         report = run_perf_suite(quick=True, repeats=1, tiers=("frontier_cell",))
-        assert report.frontier_cell and report.frontier_cell[0].equivalent
+        assert [b.workload for b in report.frontier_cell] == list(
+            FRONTIER_CELL_WORKLOADS
+        )
+        assert all(b.equivalent for b in report.frontier_cell)
         assert not report.functional
         assert not report.timing
         assert not report.oram
@@ -75,6 +83,10 @@ class TestCommittedArtifact:
         by_workload = {b["workload"]: b for b in cells}
         assert by_workload["libquantum"]["speedup"] >= 5.0
         assert all(b["equivalent"] for b in cells)
+
+    def test_sparse_frontier_cell_ships_near_per_scheme(self, committed):
+        by_workload = {b["workload"]: b for b in committed["frontier_cell"]}
+        assert by_workload["gobmk"]["speedup_vs_per_scheme"] >= 0.5
 
     def test_committed_baseline_has_ship_floors(self):
         baseline = json.loads(

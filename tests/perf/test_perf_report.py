@@ -56,13 +56,16 @@ def _oram(aps=50_000.0, speedup=15.0, equivalent=True):
     )
 
 
-def _frontier_cell(workload="libquantum", rps=4e6, speedup=6.0, equivalent=True):
+def _frontier_cell(workload="libquantum", rps=4e6, speedup=6.0, equivalent=True,
+                   vs_per_scheme=1.0):
     return FrontierCellBench(
         workload=workload, grid="grid:dynamic:{rates=2,4}x{epochs=2,4}",
         n_configs=16, n_requests=4000,
         reference_s=0.1, fast_s=0.1 / speedup, speedup=speedup,
         requests_per_sec_fast=rps, requests_per_sec_reference=rps / speedup,
         equivalent=equivalent,
+        per_scheme_s=0.1 / speedup * vs_per_scheme,
+        speedup_vs_per_scheme=vs_per_scheme,
     )
 
 
@@ -71,7 +74,7 @@ def _report(**kwargs):
         version=3, quick=True, n_instructions=100_000, repeats=1,
         functional=[_functional(), _functional(workload="libquantum")],
         timing=[_timing()], oram=[_oram()],
-        frontier_cell=[_frontier_cell()],
+        frontier_cell=[_frontier_cell(), _frontier_cell(workload="gobmk", speedup=3.0)],
         sweep=SweepBench(
             benchmarks=("a",), schemes=("base_dram",), n_instructions=100_000,
             cells=2, wall_s=0.5, cells_per_sec=4.0,
@@ -196,6 +199,26 @@ class TestBaselineGate:
         failures = check_against_baseline(slow, baseline)
         assert any("frontier_cell[libquantum]" in f and "floor" in f for f in failures)
 
+    def test_frontier_cell_losing_to_per_scheme_fails(self):
+        # The numpy per-request stepping ran the sparse gobmk batch at
+        # about 0.18x of its per-scheme fast replays.
+        baseline = report_to_baseline(_report())
+        slow = _report(frontier_cell=[
+            _frontier_cell(),
+            _frontier_cell(workload="gobmk", speedup=3.0, vs_per_scheme=0.18),
+        ])
+        assert check_against_baseline(slow, baseline) == [
+            "frontier_cell[gobmk]: batched replay runs at 0.18x of the "
+            "per-scheme fast kernels, below the 0.50x floor"
+        ]
+
+    def test_missing_sparse_frontier_cell_fails(self):
+        baseline = report_to_baseline(_report())
+        failures = check_against_baseline(
+            _report(frontier_cell=[_frontier_cell()]), baseline
+        )
+        assert failures == ["frontier_cell[gobmk]: sparse workload not measured"]
+
     def test_frontier_cell_regression_fails(self):
         baseline = report_to_baseline(_report())
         slow = _report(frontier_cell=[_frontier_cell(rps=1e6)])
@@ -309,6 +332,12 @@ class TestCommittedBaseline:
         # in-memory pass; the committed floor must reject that.
         baseline = load_baseline(REPO_ROOT / "benchmarks" / "baselines.json")
         assert 0.5 <= baseline["min_streaming_ratio"] < 1.0
+
+    def test_committed_baseline_gates_sparse_frontier_cell(self):
+        # The batch must not lose badly to the per-scheme fast kernels
+        # on the sparse workload (the old kernel ran gobmk at 0.18x).
+        baseline = load_baseline(REPO_ROOT / "benchmarks" / "baselines.json")
+        assert baseline["min_frontier_cell_vs_per_scheme"] >= 0.5
 
     def test_committed_baseline_gates_oram(self):
         baseline = load_baseline(REPO_ROOT / "benchmarks" / "baselines.json")

@@ -9,12 +9,19 @@ and byte-identical per-request completion arrays.  Degenerate batches of
 size one and batches mixing static/dynamic/baseline schemes are part of
 the property space, as are small epoch schedules (many transitions) and
 a 1-entry write buffer (store stretches pop immediately).
+
+The batched kernel switches between two grains — certified lockstep
+runs and per-config scalar stepping — so the long-trace property builds
+traces from dense bursts (where lockstep certifies), idle stretches
+(dummy windows that only the scalar loop serves) and store stretches
+(write-buffer state carried across the switch).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.figures import FIG5_RATES, FIG6_SCHEMES
 from repro.core.epochs import EpochSchedule
 from repro.core.scheme import (
     BaseDramScheme,
@@ -25,6 +32,7 @@ from repro.core.scheme import (
     scheme_from_spec,
 )
 from repro.cpu.trace import EnergyEvents, MissTrace
+from repro.sim.simulator import SecureProcessorSim, SimConfig
 from repro.sim.timing import _replay_slotted_batch, run_timing, run_timing_batch
 
 #: A schedule with tiny epochs so short runs cross many transitions.
@@ -57,6 +65,10 @@ SCHEME_POOL = [
 ]
 
 
+#: Figure 5's static-rate ladder (64 ... 131072 cycles), one scheme per rate.
+FIG5_LADDER = [scheme_from_spec(f"static:{rate}") for rate in FIG5_RATES]
+
+
 def make_miss_trace(gaps, blocking, tail=123.5):
     n = len(gaps)
     return MissTrace(
@@ -71,8 +83,15 @@ def make_miss_trace(gaps, blocking, tail=123.5):
     )
 
 
-def assert_batch_identical(miss_trace, schemes, entries=8, record_requests=True):
-    """run_timing_batch == [run_timing(...)] element-wise, per config."""
+def assert_batch_identical(
+    miss_trace, schemes, entries=8, record_requests=True, oracle_mode="fast"
+):
+    """run_timing_batch == [run_timing(...)] element-wise, per config.
+
+    ``oracle_mode="reference"`` checks against the scalar reference loop,
+    which shares no code with the batched kernel's scalar grain (the
+    fast per-scheme replay runs the same slot loop that grain does).
+    """
     batch = run_timing_batch(
         miss_trace, schemes, write_buffer_entries=entries,
         record_requests=record_requests,
@@ -81,7 +100,7 @@ def assert_batch_identical(miss_trace, schemes, entries=8, record_requests=True)
     for scheme, got in zip(schemes, batch):
         want = run_timing(
             miss_trace, scheme, write_buffer_entries=entries,
-            record_requests=record_requests,
+            record_requests=record_requests, mode=oracle_mode,
         )
         assert got.scheme_name == want.scheme_name
         assert got.cycles == want.cycles
@@ -124,6 +143,147 @@ class TestPropertyEquivalence:
         schemes = [SCHEME_POOL[i] for i in scheme_indices]
         assert_batch_identical(
             miss_trace, schemes, entries=entries, record_requests=record
+        )
+
+
+#: One trace segment: (kind, length, seed).  ``burst`` is dense traffic
+#: (gaps 0-50 cycles, mixed blocking), ``idle`` a run of long gaps
+#: (10^4-10^6 cycles: dummy windows, epoch boundaries), ``stores`` a
+#: store stretch (mostly non-blocking, short gaps).
+SEGMENT = st.tuples(
+    st.sampled_from(["burst", "idle", "stores"]),
+    st.integers(1, 600),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def segmented_trace(segments, n_requests):
+    """Cycle through generated segments until ``n_requests`` requests."""
+    gaps: list[np.ndarray] = []
+    blocking: list[np.ndarray] = []
+    total = 0
+    k = 0
+    while total < n_requests:
+        kind, length, seed = segments[k % len(segments)]
+        k += 1
+        rng = np.random.default_rng(seed + k)
+        if kind == "burst":
+            gap = rng.integers(0, 51, length).astype(np.float64)
+            gap[rng.random(length) < 0.3] += 0.5
+            block = rng.random(length) < 0.7
+        elif kind == "idle":
+            length = min(length, 20)
+            gap = np.floor(10.0 ** rng.uniform(4, 6, length))
+            block = rng.random(length) < 0.8
+        else:
+            gap = rng.integers(0, 30, length).astype(np.float64)
+            block = rng.random(length) < 0.1
+        gaps.append(gap)
+        blocking.append(block)
+        total += length
+    return make_miss_trace(
+        np.concatenate(gaps)[:n_requests].tolist(),
+        np.concatenate(blocking)[:n_requests].tolist(),
+        tail=5_000.0,
+    )
+
+
+class TestGrainSwitches:
+    @given(
+        segments=st.lists(SEGMENT, min_size=1, max_size=12),
+        n_requests=st.integers(200, 3000),
+        rungs=st.lists(
+            st.integers(0, len(FIG5_LADDER) - 1), min_size=0, max_size=6,
+        ),
+        pool_indices=st.lists(
+            st.integers(0, len(SCHEME_POOL) - 1), min_size=0, max_size=3,
+        ),
+        entries=st.sampled_from([1, 8]),
+        record=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_long_segmented_trace_any_batch(
+        self, segments, n_requests, rungs, pool_indices, entries, record
+    ):
+        """Ladder rungs and the pool's paper-scale schemes stay slot-bound
+        through a dense burst, so lockstep certifies there; idle and
+        store stretches, the pool's fast-rate schemes and its tiny
+        epochs force the scalar grain in between."""
+        miss_trace = segmented_trace(segments, n_requests)
+        assert miss_trace.n_requests == n_requests
+        schemes = [FIG5_LADDER[i] for i in rungs]
+        schemes += [SCHEME_POOL[i] for i in pool_indices]
+        if not schemes:
+            schemes = [FIG5_LADDER[0]]
+        assert_batch_identical(
+            miss_trace, schemes, entries=entries, record_requests=record,
+            oracle_mode="reference",
+        )
+
+    def test_dense_bursts_between_idle_and_store_stretches(self):
+        """Lockstep runs over the bursts resume the state the scalar
+        grain left: waste, write buffer, epoch boundaries."""
+        segments = [
+            ("idle", 10, 1), ("burst", 600, 2), ("stores", 40, 3),
+            ("burst", 600, 4), ("idle", 5, 5), ("burst", 600, 6),
+        ]
+        miss_trace = segmented_trace(segments, 1855)
+        schemes = FIG5_LADDER[:6] + [dynamic(4, 4), dynamic(8, 9)]
+        for entries in (1, 8):
+            assert_batch_identical(
+                miss_trace, schemes, entries=entries, oracle_mode="reference"
+            )
+
+    @pytest.mark.parametrize("entries", [1, 8])
+    def test_dummy_window_at_truncation_column(self, entries):
+        """A lockstep run ends at an idle request, where every config has
+        dummies pending.  The dynamic config's dummy window crosses its
+        epoch boundary at the first idle request (a learner decision:
+        scalar grain); the statics take the column lane-wise.  At the
+        idle store the buffer they leave must hold its completion: the
+        next store (1-entry buffer) stalls behind it, which moves the
+        arrival, hence the waste, of the request after."""
+        burst = [10.0] * 200  # one lockstep window, up to the idle request
+        gaps = (
+            burst + [1_000_000.0, 5.0, 2_000.0] + burst[1:]
+            + [1_000_000.0] + burst
+        )
+        blocking = (
+            [True] * 200 + [False, False] + [True] * 200 + [True]
+            + [True] * 200
+        )
+        miss_trace = make_miss_trace(gaps, blocking)
+        schemes = [
+            StaticScheme(rate=300),
+            StaticScheme(rate=1300),
+            DynamicScheme(
+                schedule=EpochSchedule(
+                    first_epoch_cycles=1 << 20, growth=2, tmax_cycles=1 << 40
+                ),
+                initial_rate=300,
+            ),
+        ]
+        results = assert_batch_identical(
+            miss_trace, schemes, entries=entries, oracle_mode="reference"
+        )
+        assert len(results[2].epochs) > 1
+
+    @pytest.mark.parametrize(
+        "workload, schemes",
+        [
+            ("mcf", ["base_dram"] + [f"static:{rate}" for rate in FIG5_RATES]),
+            ("gobmk", list(FIG6_SCHEMES)),
+        ],
+        ids=["figure5-mcf", "figure6-gobmk"],
+    )
+    def test_paper_figure_batches(self, workload, schemes):
+        """The real Figure 5/6 batches at 200k instructions, per config."""
+        sim = SecureProcessorSim(SimConfig(n_instructions=200_000, seed=0))
+        miss_trace = sim.miss_trace(workload)
+        assert miss_trace.n_requests > 200
+        assert_batch_identical(
+            miss_trace, [scheme_from_spec(spec) for spec in schemes],
+            oracle_mode="reference",
         )
 
 
